@@ -12,7 +12,7 @@ from wnsf import BjModel, LoopConfig, ModelOrders, Polynomial, RationalFilter
 from wnsf.arx import estimate_arx
 from wnsf.estimator import step2_ls, step3_wls_oe
 from wnsf.metrics import fit_of_models
-from wnsf.simulate import generate_closed_loop
+from wnsf.simulate import generate
 
 SYSTEM = BjModel(
     L=Polynomial([0.0, 1.0, -1.2]),
@@ -29,7 +29,7 @@ def main():
     for seed in range(SEEDS):
         cfg = LoopConfig(system=SYSTEM, controller=CONTROLLER, noise_std=2.0,
                          N=2000, seed=seed)
-        arx = estimate_arx(generate_closed_loop(cfg), n=250)
+        arx = estimate_arx(generate(cfg), n=250)
         theta = step2_ls(arx, ORDERS).theta
         fits[seed, 0] = fit_of_models(
             SYSTEM.G, BjModel.from_theta(theta, 3, 2).G)

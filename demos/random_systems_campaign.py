@@ -21,7 +21,7 @@ from wnsf import (
     wnsf_identify,
 )
 from wnsf.metrics import fit_of_models
-from wnsf.simulate import UnstableLoopError, generate_closed_loop_ref_through_K
+from wnsf.simulate import UnstableLoopError, generate
 
 # Default controller: a small static gain stabilizes most draws from this
 # plant family (the resonant peaks limit the usable gain); unstable
@@ -41,7 +41,7 @@ def main():
                          N=N, seed=len(fits) + skipped, snr_target=2.0,
                          loop_kind="closed_ref_through_K")
         try:
-            data = generate_closed_loop_ref_through_K(cfg)
+            data = generate(cfg)
             est = wnsf_identify(
                 data, ORDERS,
                 WnsfOptions(n_grid=(50, 100, 150, 200, 250, 300)))

@@ -45,10 +45,8 @@ from .simulate import (
     LoopConfig,
     RandomSystemSpec,
     generate,
-    generate_closed_loop,
-    generate_closed_loop_ref_through_K,
-    generate_open_loop,
     random_system,
+    reference_path,
     scale_noise_to_snr,
 )
 

@@ -27,7 +27,7 @@ class ArxEstimate:
     r_vec: np.ndarray
     N: int
     regularized: bool
-    R_reg: np.ndarray = None  # matrix actually used in the solve
+    R_reg: np.ndarray        # matrix actually used in the solve
 
     @property
     def a(self) -> np.ndarray:

@@ -30,7 +30,7 @@ from .crb import (
     mbar_limit,
 )
 from .estimator import IdentificationError, ModelOrders, WnsfOptions, wnsf_identify
-from .lti import BjModel, Polynomial, RationalFilter, UnstableFilterError
+from .lti import BjModel, Polynomial, RationalFilter
 from .metrics import McExperiment, run_monte_carlo
 from .simulate import LOOP_KINDS, DataSet, LoopConfig, UnstableLoopError, generate
 
@@ -79,6 +79,8 @@ CONFIG_SCHEMA = {
                 "std": {"type": "number", "minimum": 0},
                 "snr_target": {"type": "number", "exclusiveMinimum": 0},
             },
+            # snr_target sets the noise level, so a std beside it is ignored
+            "not": {"required": ["std", "snr_target"]},
         },
         "experiment": {
             "type": "object",
@@ -110,7 +112,6 @@ CONFIG_SCHEMA = {
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "delta_reg": {"type": "number", "exclusiveMinimum": 0},
                 "known_zero_ic": {"type": "boolean"},
-                "estimate_noise_model": {"type": "boolean"},
             },
         },
         "crb": {
@@ -208,8 +209,7 @@ def wnsf_settings_from(doc: dict):
         raise ConfigError("wnsf: section is required for this command")
     orders = ModelOrders(*sec["orders"])
     kwargs = {}
-    for key in ("n_grid", "max_iter", "tol", "delta_reg",
-                "known_zero_ic", "estimate_noise_model"):
+    for key in ("n_grid", "max_iter", "tol", "delta_reg", "known_zero_ic"):
         if key in sec:
             kwargs[key] = tuple(sec[key]) if key == "n_grid" else sec[key]
     return orders, WnsfOptions(**kwargs)
@@ -267,7 +267,7 @@ def cmd_simulate(args) -> int:
     cfg = loop_config_from(doc, seed_override=args.seed)
     try:
         data = generate(cfg)
-    except (UnstableLoopError, UnstableFilterError, ZeroDivisionError) as exc:
+    except (UnstableLoopError, ZeroDivisionError) as exc:
         log.error("simulation infeasible: %s", exc)
         print(f"error: simulation infeasible: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -314,7 +314,7 @@ def cmd_montecarlo(args) -> int:
     orders, options = wnsf_settings_from(doc)
     try:
         generate(cfg)  # fail fast on an infeasible loop before the campaign
-    except (UnstableLoopError, UnstableFilterError, ZeroDivisionError) as exc:
+    except (UnstableLoopError, ZeroDivisionError) as exc:
         print(f"error: simulation infeasible: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
     exp = McExperiment(loop=cfg, orders=orders, options=options,

@@ -1,5 +1,9 @@
 """Asymptotic covariance / Cramer-Rao bound calculators.
 
+The reference-induced input spectrum takes its r -> u filter from
+``simulate.reference_path``, the one place that defines the loop paths, so
+the bounds describe the same experiment that ``simulate.generate`` runs.
+
 All integrals are trapezoidal quadrature on a uniform frequency grid over
 [0, pi]; conjugate symmetry of the integrands gives the full-circle value as
 twice the real part.
@@ -11,11 +15,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .arx import true_eta
-from .estimator import ModelOrders, build_Q, build_T_inverse
-from .lti import BjModel, RationalFilter, freq_response, poly_mul
-from .simulate import LoopConfig, sensitivity
+from .estimator import ModelOrders, build_Q, build_T
+from .lti import BjModel, RationalFilter, freq_response
+from .simulate import LoopConfig, reference_path, sensitivity
 
 GRID_SIZE_DEFAULT = 8192
 
@@ -71,29 +76,30 @@ def _gamma(m: int, omega: np.ndarray) -> np.ndarray:
 def phi_z(sm: SpectrumModel, omega) -> np.ndarray:
     """Spectrum of [u_t e_t]^T; shape (..., 2, 2).
 
-    Closed loop (reference below the controller):
-    Phi_u = |S|^2 Phi_r + |K S H|^2 s2, Phi_ue = -K S H s2.
-    Reference through the controller replaces S by K S on the r path.
-    Open loop: no noise feeds the input.
+    Phi_u = |R_u|^2 Phi_r + |K S H|^2 s2 and Phi_ue = -K S H s2, with R_u the
+    r -> u filter of ``reference_path``.  Open loop: no noise feeds the
+    input.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    s = sensitivity(sm.system, sm.controller)
-    S = freq_response(s, omega)
-    Fr = sm.reference_gain * freq_response(sm.reference_filter, omega)
-    phi_r = np.abs(Fr) ** 2
-    K = freq_response(sm.controller, omega)
-    H = freq_response(sm.system.H, omega)
-
-    r_path = K * S if sm.loop_kind == "closed_ref_through_K" else S
     out = np.zeros(omega.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.abs(r_path) ** 2 * phi_r
+    out[..., 0, 0] = _reference_input_spectrum(sm, omega)
     out[..., 1, 1] = sm.sigma2
     if sm.loop_kind != "open":
+        S = freq_response(sensitivity(sm.system, sm.controller), omega)
+        K = freq_response(sm.controller, omega)
+        H = freq_response(sm.system.H, omega)
         W = -K * S * H  # transfer from e to u
         out[..., 0, 0] += np.abs(W) ** 2 * sm.sigma2
         out[..., 0, 1] = W * sm.sigma2
         out[..., 1, 0] = np.conj(W) * sm.sigma2
     return out
+
+
+def _reference_input_spectrum(sm: SpectrumModel, omega) -> np.ndarray:
+    """|R_u|^2 Phi_r: the part of the input spectrum due to the reference."""
+    r_to_u, _ = reference_path(sm.system, sm.controller, sm.loop_kind)
+    Fr = sm.reference_gain * freq_response(sm.reference_filter, omega)
+    return np.abs(freq_response(r_to_u, omega)) ** 2 * np.abs(Fr) ** 2
 
 
 def build_omega_matrix(system: BjModel, orders: ModelOrders,
@@ -165,12 +171,7 @@ def compute_mcl(sm: SpectrumModel, grid_size: int = GRID_SIZE_DEFAULT,
     orders = orders or _orders_of(sm.system)
     omega, w = _quad_weights(grid_size)
     Om = build_omega_matrix(sm.system, orders, omega)[: orders.dyn_dim, 0, :]
-    s = sensitivity(sm.system, sm.controller)
-    S = freq_response(s, omega)
-    if sm.loop_kind == "closed_ref_through_K":
-        S = S * freq_response(sm.controller, omega)
-    Fr = sm.reference_gain * freq_response(sm.reference_filter, omega)
-    phi_u_r = np.abs(S) ** 2 * np.abs(Fr) ** 2
+    phi_u_r = _reference_input_spectrum(sm, omega)
     M = np.einsum("iw,jw,w->ij", Om * phi_u_r, np.conj(Om), w).real / np.pi
     M = 0.5 * (M + M.T)
     if np.linalg.eigvalsh(M)[0] <= 0:
@@ -208,8 +209,8 @@ def mbar_limit(sm: SpectrumModel, n: int,
     orders = orders or _orders_of(sm.system)
     eta_o = true_eta(sm.system, n)
     Q = build_Q(eta_o, orders)
-    Tinv = build_T_inverse(sm.system.theta, n, orders)
+    T = build_T(sm.system.theta, n, orders)
+    Z = solve_triangular(T, Q, lower=True, unit_diagonal=True)
     R = rbar_matrix(sm, n, grid_size)
-    Z = Tinv @ Q
     M = Z.T @ R @ Z
     return 0.5 * (M + M.T)

@@ -19,6 +19,7 @@ from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from .arx import ArxEstimate, estimate_arx
 from .lti import (
+    TOL_STAB,
     BjModel,
     Polynomial,
     RationalFilter,
@@ -109,7 +110,6 @@ class WnsfOptions:
     n_grid: Sequence[int] = (50, 100, 150, 200, 250, 300)
     max_iter: int = 100
     tol: float = 1e-4
-    estimate_noise_model: bool = True
     delta_reg: float = 1e-6
     known_zero_ic: bool = False
 
@@ -221,7 +221,7 @@ def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
     T = build_T(theta_prev, n, orders)
     Z = solve_triangular(T, Q, lower=True, unit_diagonal=True)
     z = solve_triangular(T, arx.eta, lower=True, unit_diagonal=True)
-    G = cholesky(arx.R_reg if arx.R_reg is not None else arx.R, lower=False)
+    G = cholesky(arx.R_reg, lower=False)
     theta = _solve_ls(G @ Z, G @ z)
     return _make_estimate(theta, arx, orders, iterations=1)
 
@@ -239,8 +239,7 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
     t_bar = np.hstack(
         [-toeplitz_matrix(model.L, n, n), toeplitz_matrix(model.F, n, n)]
     )
-    R = arx.R_reg if arx.R_reg is not None else arx.R
-    X = cho_solve(cho_factor(R, lower=True), t_bar.T)
+    X = cho_solve(cho_factor(arx.R_reg, lower=True), t_bar.T)
     S_w = t_bar @ X
     S_w = 0.5 * (S_w + S_w.T)
     Ls = cholesky(S_w, lower=True)
@@ -271,20 +270,20 @@ def _make_estimate(theta, arx, orders, iterations) -> ThetaEstimate:
 
 def reflect_unstable(theta: np.ndarray, orders: ModelOrders,
                      clamp: float = 0.999):
-    """Reflect roots of F and C lying on/outside the unit circle to
-    1/conj(root), clamped to the given magnitude.  Returns (theta, changed)."""
+    """Reflect roots of F and C that ``is_stable`` rejects (|z| >= 1 - TOL_STAB)
+    to 1/conj(root), clamped to the given magnitude.  Returns (theta,
+    changed)."""
     model = BjModel.from_theta(theta, orders.m_f, orders.m_l,
                                orders.m_c, orders.m_d)
     changed = False
 
     def fix(poly: Polynomial) -> Polynomial:
         nonlocal changed
-        roots = np.roots(poly.coeffs) if poly.degree else np.array([])
-        if roots.size == 0 or np.all(np.abs(roots) < 1.0):
+        if is_stable(poly)[0]:
             return poly
         changed = True
-        out = roots.copy()
-        bad = np.abs(out) >= 1.0
+        out = np.roots(poly.coeffs)
+        bad = np.abs(out) >= 1.0 - TOL_STAB
         out[bad] = 1.0 / np.conj(out[bad])
         mags = np.abs(out)
         shrink = mags > clamp

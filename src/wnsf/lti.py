@@ -16,10 +16,6 @@ from scipy.linalg import toeplitz as _toeplitz
 TOL_STAB = 1e-9
 
 
-class UnstableFilterError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Finite polynomial in q^-1, coefficients ordered by ascending delay.
@@ -123,20 +119,8 @@ class RationalFilter:
         if not self.den.is_monic:
             raise ValueError("denominator must be monic")
 
-    @property
-    def is_stable(self) -> bool:
-        return is_stable(self.den)[0]
-
     def __mul__(self, other: "RationalFilter") -> "RationalFilter":
         return RationalFilter(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "RationalFilter":
-        num = self.num
-        if num.coeffs[0] == 0.0:
-            raise ZeroDivisionError("cannot invert a filter with a delay")
-        if num.coeffs[0] != 1.0:
-            raise ValueError("inverse only defined for monic numerator")
-        return RationalFilter(self.den, num)
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -135,17 +135,7 @@ class McResult:
 
 
 def _single_run(exp: McExperiment, seed: int) -> McRun:
-    cfg = LoopConfig(
-        system=exp.loop.system,
-        controller=exp.loop.controller,
-        reference_filter=exp.loop.reference_filter,
-        reference_gain=exp.loop.reference_gain,
-        noise_std=exp.loop.noise_std,
-        N=exp.loop.N,
-        seed=seed,
-        loop_kind=exp.loop.loop_kind,
-        snr_target=exp.loop.snr_target,
-    )
+    cfg = replace(exp.loop, seed=seed)
     try:
         data = generate(cfg)
         est = wnsf_identify(data, exp.orders, exp.options)

@@ -4,6 +4,9 @@ The closed loop is ``u_t = -K(q) y_t + r_t`` realized through the stable
 sensitivity ``S = 1/(1 + K G)``; all signal paths are expanded into rational
 filters and applied with zero initial conditions, so every generated record
 satisfies ``y = G u + H e`` exactly (up to round-off).
+
+``reference_path`` is the one place that defines how the reference enters
+each loop kind; ``generate`` and the bounds in ``crb`` both build on it.
 """
 
 from __future__ import annotations
@@ -119,6 +122,28 @@ def sensitivity(system: BjModel, controller: RationalFilter) -> RationalFilter:
     return RationalFilter(kd_f, poly_add(kd_f, kn_l))
 
 
+def reference_path(system: BjModel, controller: RationalFilter,
+                   loop_kind: str) -> tuple[RationalFilter, RationalFilter]:
+    """The filters from r to u and from r to y, ``(X F / P, X L / P)``.
+
+    P = Kd F + Kn L is the closed-loop characteristic polynomial.  X = Kd
+    when the reference enters below the controller (``closed``, ``open``:
+    r -> u is S) and X = Kn when it enters through it
+    (``closed_ref_through_K``: r -> u is K S).  This is the one place that
+    says what a loop kind means for the reference.
+    """
+    p = sensitivity(system, controller).den
+    if loop_kind == "closed_ref_through_K":
+        x = controller.num
+        return (RationalFilter(poly_mul(x, system.F), p),
+                RationalFilter(poly_mul(x, system.L), p))
+    x = controller.den
+    # np.convolve is not bitwise commutative; this order reproduces the
+    # records generated before the loop kinds shared one path.
+    return (RationalFilter(poly_mul(x, system.F), p),
+            RationalFilter(poly_mul(system.L, x), p))
+
+
 def _check_loop(cfg: LoopConfig):
     s = sensitivity(cfg.system, cfg.controller)
     if not cfg.allow_unstable and not is_stable(s.den)[0]:
@@ -134,26 +159,18 @@ def _draw(cfg: LoopConfig):
     return r_white, e_unit
 
 
-def _reference(cfg: LoopConfig, r=None) -> np.ndarray:
-    if r is not None:
-        return np.asarray(r, dtype=float)
-    r_white, _ = _draw(cfg)
-    return cfg.reference_gain * filter_signal(cfg.reference_filter, r_white)
-
-
 def scale_noise_to_snr(cfg: LoopConfig, r: np.ndarray, e_unit: np.ndarray) -> float:
     """Noise standard deviation making the realized signal-to-noise ratio
 
-        sum [ (K G / (1 + K G)) r ]^2  /  sum [ H e ]^2
+        sum [ (r -> y) r ]^2  /  sum [ H e ]^2
 
-    equal cfg.snr_target exactly for the given sequences."""
+    equal cfg.snr_target exactly for the given sequences, with r -> y the
+    reference path of cfg.loop_kind."""
     if cfg.snr_target is None:
         raise ValueError("snr_target is not set")
-    s = _check_loop(cfg)
-    t_ry = RationalFilter(
-        poly_mul(cfg.controller.num, cfg.system.L), s.den
-    )  # K G S = Kn L / (Kd F + Kn L)
-    sig = filter_signal(t_ry, r)
+    _check_loop(cfg)
+    _, r_to_y = reference_path(cfg.system, cfg.controller, cfg.loop_kind)
+    sig = filter_signal(r_to_y, r)
     noise_path = filter_signal(cfg.system.H, e_unit)
     den = float(np.sum(noise_path**2))
     if den == 0.0:
@@ -161,84 +178,42 @@ def scale_noise_to_snr(cfg: LoopConfig, r: np.ndarray, e_unit: np.ndarray) -> fl
     return math.sqrt(float(np.sum(sig**2)) / (cfg.snr_target * den))
 
 
-def generate_closed_loop(cfg: LoopConfig, r=None) -> DataSet:
-    """Reference enters below the controller:
+def generate(cfg: LoopConfig, r=None) -> DataSet:
+    """Simulate one record of cfg.loop_kind; ``r`` overrides the reference.
 
-    u = S r - K S H e,    y = G S r + S H e.
-    """
-    s = _check_loop(cfg)
-    r = _reference(cfg, r)
-    _, e_unit = _draw(cfg)
-    e = cfg.noise_std * e_unit
+    With X and P from ``reference_path``:
 
-    p = s.den  # Kd F + Kn L
-    ksh = RationalFilter(
-        poly_mul(poly_mul(cfg.controller.num, cfg.system.F), cfg.system.C),
-        poly_mul(p, cfg.system.D),
-    )
-    gs = RationalFilter(poly_mul(cfg.system.L, cfg.controller.den), p)
-    sh = RationalFilter(
-        poly_mul(poly_mul(cfg.controller.den, cfg.system.F), cfg.system.C),
-        poly_mul(p, cfg.system.D),
-    )
-    u = filter_signal(s, r) - filter_signal(ksh, e)
-    y = filter_signal(gs, r) + filter_signal(sh, e)
-    return DataSet(r=r, u=u, y=y, e=e, seed=cfg.seed, loop_kind="closed",
-                   system=cfg.system)
-
-
-def generate_open_loop(cfg: LoopConfig, r=None) -> DataSet:
-    """u = S r (no noise path into the input), y = G u + H e."""
-    s = _check_loop(cfg)
-    r = _reference(cfg, r)
-    _, e_unit = _draw(cfg)
-    e = cfg.noise_std * e_unit
-    u = filter_signal(s, r)
-    y = filter_signal(cfg.system.G, u) + filter_signal(cfg.system.H, e)
-    return DataSet(r=r, u=u, y=y, e=e, seed=cfg.seed, loop_kind="open",
-                   system=cfg.system)
-
-
-def generate_closed_loop_ref_through_K(cfg: LoopConfig, r=None) -> DataSet:
-    """Reference enters through the controller:
-
-    u = K S r - K S H e,    y = K G S r + S H e.
+    - ``closed``, ``closed_ref_through_K``: u = (X F / P) r - K S H e,
+      y = (X L / P) r + S H e;
+    - ``open``: u = S r (no noise path into the input), y = G u + H e.
 
     If ``cfg.snr_target`` is set, the noise variance is rescaled so the
     realized signal-to-noise ratio hits the target exactly.
     """
     s = _check_loop(cfg)
-    r = _reference(cfg, r)
-    _, e_unit = _draw(cfg)
+    r_white, e_unit = _draw(cfg)
+    if r is None:
+        r = cfg.reference_gain * filter_signal(cfg.reference_filter, r_white)
+    else:
+        r = np.asarray(r, dtype=float)
     sigma = cfg.noise_std
     if cfg.snr_target is not None:
         sigma = scale_noise_to_snr(cfg, r, e_unit)
     e = sigma * e_unit
 
-    p = s.den
-    ks = RationalFilter(poly_mul(cfg.controller.num, cfg.system.F), p)
-    ksh = RationalFilter(
-        poly_mul(poly_mul(cfg.controller.num, cfg.system.F), cfg.system.C),
-        poly_mul(p, cfg.system.D),
-    )
-    kgs = RationalFilter(poly_mul(cfg.controller.num, cfg.system.L), p)
-    sh = RationalFilter(
-        poly_mul(poly_mul(cfg.controller.den, cfg.system.F), cfg.system.C),
-        poly_mul(p, cfg.system.D),
-    )
-    u = filter_signal(ks, r) - filter_signal(ksh, e)
-    y = filter_signal(kgs, r) + filter_signal(sh, e)
-    return DataSet(r=r, u=u, y=y, e=e, seed=cfg.seed,
-                   loop_kind="closed_ref_through_K", system=cfg.system)
-
-
-def generate(cfg: LoopConfig, r=None) -> DataSet:
-    gen = {
-        "open": generate_open_loop,
-        "closed": generate_closed_loop,
-        "closed_ref_through_K": generate_closed_loop_ref_through_K,
-    }[cfg.loop_kind]
-    return gen(cfg, r=r)
+    system, k = cfg.system, cfg.controller
+    r_to_u, r_to_y = reference_path(system, k, cfg.loop_kind)
+    u = filter_signal(r_to_u, r)
+    if cfg.loop_kind == "open":
+        y = filter_signal(system.G, u) + filter_signal(system.H, e)
+    else:
+        pd = poly_mul(s.den, system.D)
+        ksh = RationalFilter(poly_mul(poly_mul(k.num, system.F), system.C), pd)
+        sh = RationalFilter(poly_mul(poly_mul(k.den, system.F), system.C), pd)
+        u = u - filter_signal(ksh, e)
+        y = filter_signal(r_to_y, r) + filter_signal(sh, e)
+    return DataSet(r=r, u=u, y=y, e=e, seed=cfg.seed, loop_kind=cfg.loop_kind,
+                   system=system)
 
 
 @dataclass(frozen=True)

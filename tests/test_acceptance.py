@@ -28,7 +28,7 @@ from wnsf.estimator import (
 )
 from wnsf.lti import BjModel, Polynomial, RationalFilter, toeplitz_matrix
 from wnsf.metrics import McExperiment, fit_of_models, run_monte_carlo
-from wnsf.simulate import DataSet, LoopConfig, generate_closed_loop
+from wnsf.simulate import DataSet, LoopConfig, generate
 
 from conftest import random_stable_theta
 
@@ -120,7 +120,7 @@ def test_criterion_4_oe_fit_and_iteration_improvement():
     for seed in range(25):
         cfg = LoopConfig(system=system, controller=K, noise_std=2.0,
                          N=2000, seed=seed)
-        data = generate_closed_loop(cfg)
+        data = generate(cfg)
         est = wnsf_identify(
             data, orders, WnsfOptions(n_grid=(250,), max_iter=100, tol=1e-4))
         fits_final.append(fit_of_models(system.G, est.model.G))
@@ -181,7 +181,7 @@ def test_criterion_5_exact_algebra_suite():
     cfg = LoopConfig(system=system,
                      controller=RationalFilter(Polynomial([1.0])),
                      N=10000, seed=0)
-    arx = estimate_arx(generate_closed_loop(cfg), 50)
+    arx = estimate_arx(generate(cfg), 50)
     ref = step3_wls(arx, system.theta, BJ_ORDERS).theta
     for c in (1e-6, 1e6):
         scaled = ArxEstimate(n=arx.n, eta=arx.eta, R=c * arx.R,
@@ -202,7 +202,7 @@ def test_criterion_6_reduction_recovers_truth_from_exact_coefficients():
     n = 150
     eta = true_eta(system, n)
     arx = ArxEstimate(n=n, eta=eta, R=np.eye(2 * n), r_vec=eta.copy(),
-                      N=10000, regularized=False)
+                      N=10000, regularized=False, R_reg=np.eye(2 * n))
     theta = step2_ls(arx, BJ_ORDERS).theta
     err = float(np.max(np.abs(theta - [-0.5, 0.75, 1.0, 0.1, 0.7, -0.9])))
     _report(6, err < 1e-5, f"max parameter error {err:.2e} (< 1e-5)")

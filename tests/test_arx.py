@@ -9,7 +9,7 @@ from wnsf.arx import (
     truncation_tail,
 )
 from wnsf.lti import BjModel, Polynomial, RationalFilter, impulse_response
-from wnsf.simulate import DataSet, LoopConfig, generate_closed_loop
+from wnsf.simulate import DataSet, LoopConfig, generate
 
 
 def _dataset(u, y):
@@ -83,7 +83,7 @@ class TestEstimateArx:
         for N in (1000, 10000):
             cfg = LoopConfig(system=bench_system, controller=unit_controller,
                              N=N, seed=3)
-            est = estimate_arx(generate_closed_loop(cfg), n=50)
+            est = estimate_arx(generate(cfg), n=50)
             errs.append(np.linalg.norm(est.eta - true_eta(bench_system, 50)))
         assert errs[1] < errs[0]
 
@@ -97,8 +97,7 @@ class TestEstimateArx:
         rng = np.random.default_rng(4)
         data = _dataset(rng.standard_normal(200), rng.standard_normal(200))
         est = estimate_arx(data, n=5)
-        solve_matrix = est.R_reg if est.R_reg is not None else est.R
-        assert np.max(np.abs(solve_matrix @ est.eta - est.r_vec)) < 1e-10
+        assert np.max(np.abs(est.R_reg @ est.eta - est.r_vec)) < 1e-10
 
     def test_plain_and_regularized_coincide_when_well_conditioned(self):
         rng = np.random.default_rng(5)
@@ -136,7 +135,7 @@ class TestEstimateArx:
             med = [
                 np.linalg.norm(
                     estimate_arx(
-                        generate_closed_loop(
+                        generate(
                             LoopConfig(system=sys, N=N, seed=seed)),
                         n=1,
                     ).eta

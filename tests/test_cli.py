@@ -119,6 +119,24 @@ class TestSimulateCommand:
         assert out.read_text().splitlines()[0] == "t,r,u,y,e"
 
 
+class TestConfigRejected:
+    @pytest.mark.parametrize("section, key, value, named", [
+        # removed option: the schema no longer knows it
+        ("wnsf", "estimate_noise_model", True, "estimate_noise_model"),
+        # snr_target sets the noise level, so std would be ignored
+        ("noise", "snr_target", 2.0, "snr_target"),
+    ])
+    def test_exit_code(self, tmp_path, capsys, section, key, value, named):
+        doc = json.loads(json.dumps(BENCH_CONFIG))
+        doc["wnsf"] = {"orders": [2, 2, 1, 1]}
+        doc[section][key] = value
+        cfg = _write_config(tmp_path, doc)
+        code = main(["simulate", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{section}:" in err and named in err
+
+
 class TestIdentifyCommand:
     def test_oe_single_seed_fit(self, tmp_path, capsys):
         data_path = tmp_path / "oe.csv"

@@ -15,7 +15,7 @@ from wnsf.crb import (
 )
 from wnsf.estimator import ModelOrders
 from wnsf.lti import BjModel, Polynomial, RationalFilter
-from wnsf.simulate import LoopConfig, generate_closed_loop
+from wnsf.simulate import LoopConfig, generate
 
 BJ_ORDERS = ModelOrders(2, 2, 1, 1)
 
@@ -56,7 +56,7 @@ class TestPhiZ:
         N, seg = 2**17, 2048
         cfg = LoopConfig(system=bench_system, controller=unit_controller,
                          noise_std=1.0, N=N, seed=17)
-        data = generate_closed_loop(cfg)
+        data = generate(cfg)
         blocks_u = data.u.reshape(-1, seg)
         blocks_e = data.e.reshape(-1, seg)
         U = np.fft.rfft(blocks_u, axis=1)
@@ -195,7 +195,7 @@ class TestMbarLimit:
         for k in range(runs):
             cfg = LoopConfig(system=bench_system, controller=unit_controller,
                              noise_std=1.0, N=N, seed=1000 + k)
-            etas[k] = estimate_arx(generate_closed_loop(cfg), n).eta
+            etas[k] = estimate_arx(generate(cfg), n).eta
         emp = np.cov((etas - etas.mean(axis=0)).T) * N
         target = closed_sm.sigma2 * np.linalg.inv(rbar_matrix(closed_sm, n))
         rel = np.abs(np.diag(emp) - np.diag(target)) / np.diag(target)

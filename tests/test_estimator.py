@@ -20,7 +20,7 @@ from wnsf.estimator import (
     wnsf_identify,
 )
 from wnsf.lti import BjModel, Polynomial
-from wnsf.simulate import DataSet, LoopConfig, generate_closed_loop
+from wnsf.simulate import DataSet, LoopConfig, generate
 
 from conftest import random_stable_theta
 
@@ -32,13 +32,13 @@ def _exact_arx(system, n, N=10000) -> ArxEstimate:
     identity covariance (enough for the algebraic fixed-point checks)."""
     eta = true_eta(system, n)
     return ArxEstimate(n=n, eta=eta, R=np.eye(2 * n), r_vec=eta.copy(),
-                       N=N, regularized=False)
+                       N=N, regularized=False, R_reg=np.eye(2 * n))
 
 
 def _scaled(arx: ArxEstimate, c: float) -> ArxEstimate:
     return ArxEstimate(n=arx.n, eta=arx.eta, R=c * arx.R, r_vec=c * arx.r_vec,
                        N=arx.N, regularized=arx.regularized,
-                       R_reg=None if arx.R_reg is None else c * arx.R_reg)
+                       R_reg=c * arx.R_reg)
 
 
 def _oe_noise_free_data(system, N=4000, seed=0) -> DataSet:
@@ -140,7 +140,7 @@ class TestStep2:
         n = 10
         eta = np.concatenate([np.zeros(n), np.eye(n)[0]])
         arx = ArxEstimate(n=n, eta=eta, R=np.eye(2 * n), r_vec=eta, N=1000,
-                          regularized=False)
+                          regularized=False, R_reg=np.eye(2 * n))
         with pytest.raises(RankDeficientError) as err:
             step2_ls(arx, ModelOrders(1, 2))
         assert err.value.cond is None or err.value.cond > 1e10
@@ -148,7 +148,7 @@ class TestStep2:
 
 class TestStep3:
     def test_weighting_scale_invariance(self, bench_system, bench_closed_cfg):
-        arx = estimate_arx(generate_closed_loop(bench_closed_cfg), n=50)
+        arx = estimate_arx(generate(bench_closed_cfg), n=50)
         thetas = [
             step3_wls(_scaled(arx, c), bench_system.theta, BJ_ORDERS).theta
             for c in (1e-6, 1.0, 1e6)
@@ -214,6 +214,17 @@ class TestReflection:
         assert not changed
         assert np.array_equal(theta, bench_system.theta)
 
+    def test_root_inside_stability_margin_reflected(self, bench_system):
+        # |z| = 1 - 1e-10 fails is_stable (|z| < 1 - TOL_STAB), so reflection
+        # must fire or step 3 rejects the weighting
+        theta = bench_system.theta.copy()
+        theta[4] = -(1.0 - 1e-10)  # C = 1 - (1 - 1e-10) q^-1
+        new, changed = reflect_unstable(theta, BJ_ORDERS)
+        assert changed
+        assert abs(new[4]) <= 0.999 + 1e-12
+        est = step3_wls(_exact_arx(bench_system, 20), new, BJ_ORDERS)
+        assert np.all(np.isfinite(est.theta))
+
     def test_clamp_applied_on_circle(self):
         orders = ModelOrders(1, 1)
         theta = np.array([-1.0, 1.0])  # root exactly at 1
@@ -225,17 +236,17 @@ class TestReflection:
 class TestPemCost:
     def test_zero_on_noise_free_truth(self, bench_system):
         cfg = LoopConfig(system=bench_system, noise_std=0.0, N=500, seed=0)
-        data = generate_closed_loop(cfg)
+        data = generate(cfg)
         assert pem_cost(bench_system.theta, data, BJ_ORDERS) < 1e-20
 
     def test_approaches_noise_variance(self, bench_closed_cfg):
-        data = generate_closed_loop(bench_closed_cfg)
+        data = generate(bench_closed_cfg)
         J = pem_cost(data.system.theta, data, BJ_ORDERS)
         assert abs(J - 1.0) < 3 * np.sqrt(2.0 / data.N)
 
     def test_unstable_predictor_infinite(self, bench_system):
         cfg = LoopConfig(system=bench_system, N=100, seed=0)
-        data = generate_closed_loop(cfg)
+        data = generate(cfg)
         bad = bench_system.theta.copy()
         bad[4] = 1.5  # C root outside the unit circle
         assert pem_cost(bad, data, BJ_ORDERS) == math.inf
@@ -243,7 +254,7 @@ class TestPemCost:
 
 class TestIdentify:
     def test_degenerate_grid_is_one_weighted_pass(self, bench_closed_cfg):
-        data = generate_closed_loop(bench_closed_cfg)
+        data = generate(bench_closed_cfg)
         options = WnsfOptions(n_grid=(50,), max_iter=1, known_zero_ic=True)
         est = wnsf_identify(data, BJ_ORDERS, options)
         arx = estimate_arx(data, 50, known_zero_ic=True)
@@ -254,7 +265,7 @@ class TestIdentify:
         assert np.array_equal(est.step2_theta, start.theta)
 
     def test_selection_attains_minimal_cost(self, bench_closed_cfg):
-        data = generate_closed_loop(bench_closed_cfg)
+        data = generate(bench_closed_cfg)
         options = WnsfOptions(n_grid=(30, 50, 80), max_iter=5,
                               known_zero_ic=True)
         est = wnsf_identify(data, BJ_ORDERS, options)
@@ -263,7 +274,7 @@ class TestIdentify:
         assert est.pem_cost == min(costs)
 
     def test_determinism(self, bench_closed_cfg):
-        data = generate_closed_loop(bench_closed_cfg)
+        data = generate(bench_closed_cfg)
         options = WnsfOptions(n_grid=(50,), max_iter=10, known_zero_ic=True)
         a = wnsf_identify(data, BJ_ORDERS, options)
         b = wnsf_identify(data, BJ_ORDERS, options)
@@ -272,7 +283,7 @@ class TestIdentify:
 
     def test_grid_capped_by_sample_size(self, bench_system):
         cfg = LoopConfig(system=bench_system, N=60, seed=0)
-        data = generate_closed_loop(cfg)
+        data = generate(cfg)
         with pytest.raises(IdentificationError):
             wnsf_identify(data, BJ_ORDERS, WnsfOptions(n_grid=(500,)))
 
@@ -283,7 +294,7 @@ class TestIdentify:
         assert err.value.diagnostics
 
     def test_estimate_serialization(self, bench_closed_cfg):
-        data = generate_closed_loop(bench_closed_cfg)
+        data = generate(bench_closed_cfg)
         est = wnsf_identify(data, BJ_ORDERS,
                             WnsfOptions(n_grid=(50,), known_zero_ic=True))
         doc = est.to_json()

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,26 @@ class TestMonteCarlo:
         for r_clean, r_new in zip(clean.runs, result.runs):
             if r_new.ok:
                 assert np.array_equal(r_clean.theta, r_new.theta)
+
+    def test_run_config_is_loop_with_run_seed(self, fast_oe_system,
+                                              monkeypatch):
+        # allow_unstable must reach every run, as must every other field
+        cfg = LoopConfig(system=fast_oe_system,
+                         controller=RationalFilter(Polynomial([0.3])),
+                         noise_std=0.5, N=50, seed=0, allow_unstable=True)
+        exp = McExperiment(loop=cfg, orders=ModelOrders(3, 2),
+                           options=WnsfOptions(n_grid=(10,)), base_seed=7)
+        seen = []
+        real_generate = metrics_mod.generate
+
+        def capture(c, r=None):
+            seen.append(c)
+            return real_generate(c, r)
+
+        monkeypatch.setattr(metrics_mod, "generate", capture)
+        result = run_monte_carlo(exp, runs=3)
+        assert len(result.runs) == 3
+        assert seen == [replace(cfg, seed=s) for s in (7, 8, 9)]
 
     def test_invalid_run_count(self, bench_system):
         cfg = LoopConfig(system=bench_system, N=500, seed=0)

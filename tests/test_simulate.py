@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,14 +15,12 @@ from wnsf.lti import (
     poly_roots,
 )
 from wnsf.simulate import (
+    LOOP_KINDS,
     DataSet,
     LoopConfig,
     RandomSystemSpec,
     UnstableLoopError,
     generate,
-    generate_closed_loop,
-    generate_closed_loop_ref_through_K,
-    generate_open_loop,
     random_system,
     scale_noise_to_snr,
     sensitivity,
@@ -39,7 +39,7 @@ class TestClosedLoop:
     ):
         cfg = LoopConfig(system=bench_system, controller=unit_controller,
                          noise_std=0.0, N=100, seed=0)
-        data = generate_closed_loop(cfg, r=_impulse(100))
+        data = generate(cfg, r=_impulse(100))
         # y = G/(1+G) r = L/(F+L) r for a unit controller
         gcl = RationalFilter(bench_system.L,
                              poly_add(bench_system.F, bench_system.L))
@@ -47,8 +47,8 @@ class TestClosedLoop:
 
     def test_zero_controller_equals_open_loop(self, bench_system):
         cfg = LoopConfig(system=bench_system, noise_std=1.0, N=500, seed=42)
-        closed = generate_closed_loop(cfg)
-        opened = generate_open_loop(cfg)
+        closed = generate(cfg)
+        opened = generate(replace(cfg, loop_kind="open"))
         assert np.array_equal(closed.u, opened.u)
         assert np.allclose(closed.y, opened.y, atol=1e-12)
 
@@ -56,7 +56,7 @@ class TestClosedLoop:
         cfg = LoopConfig(system=bench_closed_cfg.system,
                          controller=bench_closed_cfg.controller,
                          noise_std=1.0, N=200000, seed=5)
-        data = generate_closed_loop(cfg)
+        data = generate(cfg)
         omega = np.linspace(0, np.pi, 4096)
         s = sensitivity(cfg.system, cfg.controller)
         S = freq_response(s, omega)
@@ -67,7 +67,7 @@ class TestClosedLoop:
         assert abs(np.var(data.y) - var) < 0.1 * var
 
     def test_consistency_residual(self, bench_closed_cfg):
-        data = generate_closed_loop(bench_closed_cfg)
+        data = generate(bench_closed_cfg)
         resid = (data.y - filter_signal(data.system.G, data.u)
                  - filter_signal(data.system.H, data.e))
         assert np.max(np.abs(resid)) < 1e-9
@@ -76,15 +76,15 @@ class TestClosedLoop:
         mk = lambda std: LoopConfig(system=bench_system,
                                     controller=unit_controller,
                                     noise_std=std, N=2000, seed=9)
-        full = generate_closed_loop(mk(1.0))
-        noise_free = generate_closed_loop(mk(0.0))
-        ref_free = generate_closed_loop(mk(1.0), r=np.zeros(2000))
+        full = generate(mk(1.0))
+        noise_free = generate(mk(0.0))
+        ref_free = generate(mk(1.0), r=np.zeros(2000))
         assert np.max(np.abs(full.y - noise_free.y - ref_free.y)) < 1e-10
         assert np.max(np.abs(full.u - noise_free.u - ref_free.u)) < 1e-10
 
     def test_determinism(self, bench_closed_cfg):
-        d1 = generate_closed_loop(bench_closed_cfg)
-        d2 = generate_closed_loop(bench_closed_cfg)
+        d1 = generate(bench_closed_cfg)
+        d2 = generate(bench_closed_cfg)
         for name in ("r", "u", "y", "e"):
             assert np.array_equal(getattr(d1, name), getattr(d2, name))
 
@@ -93,13 +93,13 @@ class TestClosedLoop:
                          controller=RationalFilter(Polynomial([0.3])),
                          N=100, seed=0)
         with pytest.raises(UnstableLoopError):
-            generate_closed_loop(cfg)
+            generate(cfg)
 
     def test_unstable_loop_escape_hatch(self, fast_oe_system):
         cfg = LoopConfig(system=fast_oe_system,
                          controller=RationalFilter(Polynomial([0.3])),
                          N=50, seed=0, allow_unstable=True)
-        data = generate_closed_loop(cfg)
+        data = generate(cfg)
         assert np.all(np.isfinite(data.y))
 
 
@@ -107,18 +107,18 @@ class TestOpenLoop:
     def test_noise_free_output(self, bench_system, unit_controller):
         cfg = LoopConfig(system=bench_system, controller=unit_controller,
                          noise_std=0.0, N=300, seed=1, loop_kind="open")
-        data = generate_open_loop(cfg)
+        data = generate(cfg)
         assert np.max(np.abs(data.y - filter_signal(bench_system.G, data.u))) == 0.0
 
     def test_white_input_without_controller(self, bench_system):
         cfg = LoopConfig(system=bench_system, reference_gain=2.0,
                          noise_std=1.0, N=50000, seed=2, loop_kind="open")
-        data = generate_open_loop(cfg)
+        data = generate(cfg)
         assert np.array_equal(data.u, data.r)
         assert abs(np.var(data.u) - 4.0) < 0.2
 
     def test_input_noise_uncorrelated(self, bench_open_cfg):
-        data = generate_open_loop(bench_open_cfg)
+        data = generate(bench_open_cfg)
         rho = np.corrcoef(data.u, data.e)[0, 1]
         assert abs(rho) < 4 / np.sqrt(data.N)
 
@@ -130,8 +130,8 @@ class TestRefThroughController:
         cfg = LoopConfig(system=bench_system, controller=unit_controller,
                          noise_std=1.0, N=1000, seed=3,
                          loop_kind="closed_ref_through_K")
-        a = generate_closed_loop_ref_through_K(cfg)
-        b = generate_closed_loop(cfg)
+        a = generate(cfg)
+        b = generate(replace(cfg, loop_kind="closed"))
         assert np.allclose(a.u, b.u, atol=1e-12)
         assert np.allclose(a.y, b.y, atol=1e-12)
 
@@ -139,37 +139,39 @@ class TestRefThroughController:
         K = RationalFilter(Polynomial([0.5]))
         cfg = LoopConfig(system=bench_system, controller=K, noise_std=0.0,
                          N=80, seed=0, loop_kind="closed_ref_through_K")
-        data = generate_closed_loop_ref_through_K(cfg, r=_impulse(80))
+        data = generate(cfg, r=_impulse(80))
         # y = K G/(1 + K G) r
         num = poly_mul(K.num, bench_system.L)
         den = poly_add(poly_mul(K.den, bench_system.F), num)
         assert np.max(np.abs(data.y - impulse_response(
             RationalFilter(num, den), 80))) < 1e-12
 
-    def test_snr_target_hit_exactly(self, bench_system, unit_controller):
-        cfg = LoopConfig(system=bench_system, controller=unit_controller,
-                         noise_std=1.0, N=3000, seed=11, snr_target=2.0,
-                         loop_kind="closed_ref_through_K")
-        data = generate_closed_loop_ref_through_K(cfg)
-        s = sensitivity(bench_system, unit_controller)
-        kgs = RationalFilter(poly_mul(unit_controller.num, bench_system.L),
-                             s.den)
-        sig = filter_signal(kgs, data.r)
+
+class TestSnrScaling:
+    @pytest.mark.parametrize("loop_kind", LOOP_KINDS)
+    def test_snr_target_hit_exactly(self, bench_system, loop_kind):
+        K = RationalFilter(Polynomial([0.5, -0.2]), Polynomial([1.0, 0.3]))
+        cfg = LoopConfig(system=bench_system, controller=K, noise_std=1.0,
+                         N=3000, seed=11, snr_target=2.0, loop_kind=loop_kind)
+        data = generate(cfg)
+        # the signal part of y is the noise-free output for the same r
+        sig = generate(replace(cfg, noise_std=0.0, snr_target=None),
+                       r=data.r).y
         noise = filter_signal(bench_system.H, data.e)
         snr = np.sum(sig**2) / np.sum(noise**2)
         assert abs(snr - 2.0) < 1e-9
+        assert not np.array_equal(data.e, generate(
+            replace(cfg, snr_target=None)).e)
 
-
-class TestSnrScaling:
     def test_gain_homogeneity(self, bench_system, unit_controller):
         base = dict(system=bench_system, controller=unit_controller,
                     noise_std=1.0, N=2000, seed=7, snr_target=2.0,
                     loop_kind="closed_ref_through_K")
         cfg1 = LoopConfig(**base)
         cfg2 = LoopConfig(**{**base, "reference_gain": 2.0})
-        d1 = generate_closed_loop_ref_through_K(cfg1)
+        d1 = generate(cfg1)
         s1 = np.std(d1.e)
-        d2 = generate_closed_loop_ref_through_K(cfg2)
+        d2 = generate(cfg2)
         s2 = np.std(d2.e)
         assert s2**2 == pytest.approx(4 * s1**2, rel=1e-9)
 
