@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -251,11 +252,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _echo_config(doc: dict, cfg: LoopConfig, path):
+def _echo_config(doc: dict, cfg: LoopConfig, data: DataSet, path):
+    """Write the config with the values used to generate ``data`` (for a
+    campaign, the base-seed record).  Its noise level is the one ``generate``
+    chose, which differs from cfg.noise_std under snr_target."""
     effective = dict(doc)
     effective["effective"] = {
         "seed": cfg.seed,
-        "noise_std": cfg.noise_std,
+        "noise_std": data.noise_std,
         "loop_kind": cfg.loop_kind,
         "N": cfg.N,
     }
@@ -272,10 +276,9 @@ def cmd_simulate(args) -> int:
         print(f"error: simulation infeasible: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
     if not args.with_noise:
-        data = DataSet(r=data.r, u=data.u, y=data.y, seed=data.seed,
-                       loop_kind=data.loop_kind)
+        data = replace(data, e=None)
     data.to_csv(args.out)
-    _echo_config(doc, cfg, args.out + ".config.json")
+    _echo_config(doc, cfg, data, args.out + ".config.json")
     log.info("wrote %d samples to %s", data.N, args.out)
     return EXIT_OK
 
@@ -313,7 +316,7 @@ def cmd_montecarlo(args) -> int:
     cfg = loop_config_from(doc)
     orders, options = wnsf_settings_from(doc)
     try:
-        generate(cfg)  # fail fast on an infeasible loop before the campaign
+        base = generate(cfg)  # fail fast on an infeasible loop
     except (UnstableLoopError, ZeroDivisionError) as exc:
         print(f"error: simulation infeasible: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -323,7 +326,7 @@ def cmd_montecarlo(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     result.write_csv(os.path.join(args.out_dir, "runs.csv"))
     result.write_json(os.path.join(args.out_dir, "aggregate.json"))
-    _echo_config(doc, cfg, os.path.join(args.out_dir, "config.json"))
+    _echo_config(doc, cfg, base, os.path.join(args.out_dir, "config.json"))
     agg = result.aggregate()
     log.info("monte carlo aggregate: %s", agg)
     if result.failures == len(result.runs):

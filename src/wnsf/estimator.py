@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 from .arx import ArxEstimate, estimate_arx
 from .lti import (
@@ -212,8 +212,8 @@ def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
               orders: ModelOrders) -> ThetaEstimate:
     """Weighted re-estimation with W = T^-T R T^-1 built at theta_prev.
 
-    W is never formed: with R = G^T G the problem is the plain least squares
-    of (G T^-1 Q, G T^-1 eta).
+    W is never formed: with R = G^T G (G the factor kept on ``arx``) the
+    problem is the plain least squares of (G T^-1 Q, G T^-1 eta).
     """
     _require_stable_weighting(theta_prev, orders)
     n = arx.n
@@ -221,7 +221,7 @@ def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
     T = build_T(theta_prev, n, orders)
     Z = solve_triangular(T, Q, lower=True, unit_diagonal=True)
     z = solve_triangular(T, arx.eta, lower=True, unit_diagonal=True)
-    G = cholesky(arx.R_reg, lower=False)
+    G = arx.R_chol
     theta = _solve_ls(G @ Z, G @ z)
     return _make_estimate(theta, arx, orders, iterations=1)
 
@@ -239,8 +239,9 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
     t_bar = np.hstack(
         [-toeplitz_matrix(model.L, n, n), toeplitz_matrix(model.F, n, n)]
     )
-    X = cho_solve(cho_factor(arx.R_reg, lower=True), t_bar.T)
-    S_w = t_bar @ X
+    # with R = G^T G, Tbar R^-1 Tbar^T = V^T V for V = G^-T Tbar^T
+    V = solve_triangular(arx.R_chol, t_bar.T, trans="T")
+    S_w = V.T @ V
     S_w = 0.5 * (S_w + S_w.T)
     Ls = cholesky(S_w, lower=True)
     A = solve_triangular(Ls, Q2, lower=True)

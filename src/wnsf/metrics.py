@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -12,7 +13,7 @@ import numpy as np
 
 from .estimator import IdentificationError, ModelOrders, WnsfOptions, wnsf_identify
 from .lti import BjModel, RationalFilter, impulse_response
-from .simulate import LoopConfig, generate
+from .simulate import LoopConfig, UnstableLoopError, generate
 
 IMPULSE_BLOCK = 64
 IMPULSE_CAP = 8192
@@ -118,20 +119,27 @@ class McResult:
         return np.vstack([r.theta for r in self.runs if r.ok])
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("seed,n_used,iterations,pem_cost,fit,mse\n")
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["seed", "n_used", "iterations", "pem_cost", "fit",
+                          "mse", "error"])
             for r in self.runs:
                 if r.ok:
-                    fh.write(
-                        f"{r.seed},{r.n_used},{r.iterations},"
-                        f"{r.pem_cost:.17g},{r.fit:.17g},{r.mse:.17g}\n"
-                    )
+                    out.writerow([r.seed, r.n_used, r.iterations,
+                                  f"{r.pem_cost:.17g}", f"{r.fit:.17g}",
+                                  f"{r.mse:.17g}", ""])
                 else:
-                    fh.write(f"{r.seed},,,,,\n")
+                    out.writerow([r.seed, "", "", "", "", "", r.error])
 
     def write_json(self, path):
         with open(path, "w") as fh:
             json.dump(self.aggregate(), fh, indent=2)
+
+
+# What one run can raise on its own data: an infeasible loop or noise scaling
+# from ``generate``, a failed identification, or an undefined FIT.
+_RUN_ERRORS = (IdentificationError, UnstableLoopError, ZeroDivisionError,
+               np.linalg.LinAlgError, ValueError)
 
 
 def _single_run(exp: McExperiment, seed: int) -> McRun:
@@ -139,11 +147,10 @@ def _single_run(exp: McExperiment, seed: int) -> McRun:
     try:
         data = generate(cfg)
         est = wnsf_identify(data, exp.orders, exp.options)
-    except (IdentificationError, np.linalg.LinAlgError, ValueError) as exc:
-        return McRun(seed=seed, ok=False, error=str(exc))
-    truth = cfg.system
-    fit = fit_of_models(truth.G, est.model.G)
-    theta_true = _aligned_theta(truth, exp.orders)
+        fit = fit_of_models(cfg.system.G, est.model.G)
+    except _RUN_ERRORS as exc:
+        return McRun(seed=seed, ok=False, error=f"{type(exc).__name__}: {exc}")
+    theta_true = _aligned_theta(cfg.system, exp.orders)
     mse = mse_metric(est.theta, theta_true, exp.orders, dyn_only=True)
     return McRun(seed=seed, ok=True, theta=est.theta, n_used=est.n_used,
                  iterations=est.iterations, pem_cost=est.pem_cost,

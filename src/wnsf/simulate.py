@@ -71,6 +71,7 @@ class DataSet:
     seed: Optional[int] = None
     loop_kind: Optional[str] = None
     system: Optional[BjModel] = None
+    noise_std: Optional[float] = None   # sigma of e as generated
 
     def __post_init__(self):
         for name in ("r", "u", "y"):
@@ -213,7 +214,7 @@ def generate(cfg: LoopConfig, r=None) -> DataSet:
         u = u - filter_signal(ksh, e)
         y = filter_signal(r_to_y, r) + filter_signal(sh, e)
     return DataSet(r=r, u=u, y=y, e=e, seed=cfg.seed, loop_kind=cfg.loop_kind,
-                   system=system)
+                   system=system, noise_std=sigma)
 
 
 @dataclass(frozen=True)

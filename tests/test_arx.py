@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wnsf.arx import (
     ArxEstimate,
     build_regressors,
     estimate_arx,
+    ridge_needed,
     true_eta,
     truncation_tail,
 )
@@ -26,6 +31,91 @@ def _arx_truth(a1=-0.5, b1=1.0):
         C=Polynomial([1.0]),
         D=Polynomial([1.0, a1]),
     )
+
+
+def _lag_matrix(x: np.ndarray, n: int, rows: int, offset: int) -> np.ndarray:
+    """rows x n matrix whose row i holds x lagged 1..n at time offset+i
+    (1-indexed time), with zero padding for t <= 0."""
+    padded = np.concatenate([np.zeros(n), x])
+    out = np.empty((rows, n))
+    for lag in range(1, n + 1):
+        # value x_{t-lag} for t = offset .. offset+rows-1
+        start = n + offset - 1 - lag
+        out[:, lag - 1] = padded[start: start + rows]
+    return out
+
+
+def dense_regressors(data: DataSet, n: int, known_zero_ic: bool = False):
+    """Reference (R, r): form the N x 2n regressor phi and take phi^T phi."""
+    N = data.N
+    t0 = 1 if known_zero_ic else n + 1
+    rows = N - t0 + 1
+    phi = np.hstack(
+        [-_lag_matrix(data.y, n, rows, t0), _lag_matrix(data.u, n, rows, t0)]
+    )
+    R = (phi.T @ phi) / N
+    return 0.5 * (R + R.T), (phi.T @ data.y[t0 - 1:]) / N
+
+
+@st.composite
+def _regressions(draw):
+    N = draw(st.integers(3, 160))
+    n_max = (N - 1) // 2
+    n = draw(st.sampled_from([1, n_max]) | st.integers(1, n_max))
+    return (N, n, draw(st.booleans()), draw(st.floats(-3.0, 3.0)),
+            draw(st.floats(-3.0, 3.0)), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestStructuredRegressors:
+    """The structured (R, r) against the dense oracle above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_regressions())
+    @example((3, 1, False, 0.0, 0.0, 0))
+    @example((3, 1, True, 0.0, 0.0, 0))
+    @example((9, 4, True, 2.0, -2.0, 1))
+    @example((301, 150, False, -1.0, 1.0, 2))
+    def test_matches_dense(self, case):
+        N, n, known_zero_ic, log_su, log_sy, seed = case
+        rng = np.random.default_rng(seed)
+        u = 10.0**log_su * rng.standard_normal(N)
+        y = 10.0**log_sy * (np.cumsum(rng.standard_normal(N)) / 4 + u)
+        data = _dataset(u, y)
+        R, r_vec = build_regressors(data, n, known_zero_ic)
+        R_ref, r_ref = dense_regressors(data, n, known_zero_ic)
+        # relative to the Cauchy-Schwarz bound of each entry
+        d = np.sqrt(np.diag(R_ref))
+        y_rms = np.sqrt(np.sum(y[(0 if known_zero_ic else n):] ** 2) / N)
+        assert np.all(np.abs(R - R_ref) <= 1e-12 * np.outer(d, d))
+        assert np.all(np.abs(r_vec - r_ref) <= 1e-12 * d * y_rms)
+        assert np.array_equal(R, R.T)
+
+    def test_arx_estimate_matches_dense_solve(self, bench_closed_cfg):
+        data = generate(replace(bench_closed_cfg, N=2000))
+        for known_zero_ic in (False, True):
+            est = estimate_arx(data, 50, known_zero_ic=known_zero_ic)
+            R_ref, r_ref = dense_regressors(data, 50, known_zero_ic)
+            eta_ref = np.linalg.solve(R_ref, r_ref)
+            assert not est.regularized
+            assert (np.linalg.norm(est.eta - eta_ref)
+                    < 1e-10 * np.linalg.norm(eta_ref))
+
+
+class TestRidgePredicate:
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 40), log_delta=st.floats(-8.0, -2.0),
+           above=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_cholesky_agrees_with_eigenvalue(self, dim, log_delta, above,
+                                             seed):
+        delta = 10.0**log_delta
+        lam_min = delta / 2 + (1e-3 * delta if above else -1e-3 * delta)
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        lams = np.concatenate([[lam_min], delta + 10 * rng.random(dim - 1)])
+        R = (Q * lams) @ Q.T
+        R = 0.5 * (R + R.T)
+        assert (np.linalg.eigvalsh(R)[0] > delta / 2) == above
+        assert ridge_needed(R, delta) == (not above)
 
 
 class TestBuildRegressors:
@@ -105,6 +195,18 @@ class TestEstimateArx:
         est = estimate_arx(data, n=4, delta_reg=1e-6)
         assert not est.regularized
         assert np.array_equal(est.R_reg, est.R)
+
+    def test_factor_kept_for_the_solve_matrix(self):
+        rng = np.random.default_rng(9)
+        for u in (rng.standard_normal(200), np.ones(200)):
+            est = estimate_arx(_dataset(u, rng.standard_normal(200)), n=3)
+            U = est.R_chol
+            assert np.array_equal(U, np.triu(U))
+            assert np.allclose(U.T @ U, est.R_reg, rtol=0, atol=1e-12)
+        lazy = ArxEstimate(n=est.n, eta=est.eta, R=est.R, r_vec=est.r_vec,
+                           N=est.N, regularized=est.regularized,
+                           R_reg=est.R_reg)
+        assert np.array_equal(lazy.R_chol, est.R_chol)
 
     def test_zero_delta_on_singular_data_raises(self):
         data = _dataset(np.zeros(50), np.zeros(50))

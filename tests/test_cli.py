@@ -11,6 +11,7 @@ from wnsf.cli import (
     EXIT_OK,
     EXIT_SIMULATION,
     ConfigError,
+    loop_config_from,
     main,
     parse_n_grid,
     parse_orders,
@@ -19,7 +20,7 @@ from wnsf.crb import SpectrumModel, compute_mcr
 from wnsf.estimator import ModelOrders
 from wnsf.lti import BjModel
 from wnsf.metrics import fit_of_models
-from wnsf.simulate import DataSet, LoopConfig
+from wnsf.simulate import DataSet, LoopConfig, generate
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -119,6 +120,22 @@ class TestSimulateCommand:
         assert out.read_text().splitlines()[0] == "t,r,u,y,e"
 
 
+    def test_echo_reports_noise_std_used(self, tmp_path):
+        doc = json.loads(json.dumps(BENCH_CONFIG))
+        doc["noise"] = {"snr_target": 2.0}
+        cfg = _write_config(tmp_path, doc)
+        out = tmp_path / "data.csv"
+        assert main(["simulate", cfg, "--out", str(out),
+                     "--with-noise"]) == EXIT_OK
+        echo = json.loads((tmp_path / "data.csv.config.json").read_text())
+        e = DataSet.from_csv(out).e
+        unit = dict(doc, noise={"std": 1.0})
+        e_unit = generate(loop_config_from(unit)).e
+        assert abs(echo["effective"]["noise_std"]
+                   - np.std(e) / np.std(e_unit)) < 1e-12
+        assert echo["effective"]["noise_std"] != 1.0
+
+
 class TestConfigRejected:
     @pytest.mark.parametrize("section, key, value, named", [
         # removed option: the schema no longer knows it
@@ -211,7 +228,7 @@ class TestMonteCarloCommand:
               "--n-grid", "50", "--known-zero-ic"])
         est = json.loads(capsys.readouterr().out)
         rows = (out_dir / "runs.csv").read_text().splitlines()
-        assert rows[0] == "seed,n_used,iterations,pem_cost,fit,mse"
+        assert rows[0] == "seed,n_used,iterations,pem_cost,fit,mse,error"
         seed, n_used, iters, cost = rows[1].split(",")[:4]
         assert int(seed) == 0 and int(n_used) == est["n_used"]
         assert int(iters) == est["iterations"]

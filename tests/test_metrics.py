@@ -234,6 +234,40 @@ class TestMonteCarlo:
         assert len(result.runs) == 3
         assert seen == [replace(cfg, seed=s) for s in (7, 8, 9)]
 
+    def test_unstable_loop_becomes_failed_runs(self, fast_oe_system,
+                                               tmp_path):
+        # generate raises UnstableLoopError for every seed of this loop
+        cfg = LoopConfig(system=fast_oe_system,
+                         controller=RationalFilter(Polynomial([0.3])),
+                         noise_std=0.5, N=50, seed=0)
+        exp = McExperiment(loop=cfg, orders=ModelOrders(3, 2),
+                           options=WnsfOptions(n_grid=(10,)))
+        for jobs in (1, 2):
+            result = run_monte_carlo(exp, runs=2, parallelism=jobs)
+            assert result.failures == 2
+            assert [r.error for r in result.runs] == [
+                "UnstableLoopError: closed-loop sensitivity is unstable"] * 2
+        path = tmp_path / "runs.csv"
+        result.write_csv(path)
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows] == [r.error for r in result.runs]
+        assert all(r["fit"] == "" for r in rows)
+
+    def test_undefined_fit_becomes_failed_run(self, bench_system,
+                                              unit_controller, monkeypatch):
+        cfg = LoopConfig(system=bench_system, controller=unit_controller,
+                         N=2000, seed=0)
+
+        def constant_truth(g_true, g_est):
+            raise ZeroDivisionError("true response is constant")
+
+        monkeypatch.setattr(metrics_mod, "fit_of_models", constant_truth)
+        result = run_monte_carlo(_experiment(cfg), runs=1)
+        assert result.failures == 1
+        assert result.runs[0].error == (
+            "ZeroDivisionError: true response is constant")
+
     def test_invalid_run_count(self, bench_system):
         cfg = LoopConfig(system=bench_system, N=500, seed=0)
         with pytest.raises(ValueError):
