@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config error, 3 simulation infeasible,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -44,6 +45,7 @@ EXIT_BOUND = 5
 log = logging.getLogger("wnsf")
 
 _COEFFS = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+_COUNT = {"type": "integer", "minimum": 1}
 
 _FILTER_SCHEMA = {
     "type": "object",
@@ -98,9 +100,12 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["orders"],
             "properties": {
+                # m_f, m_l, m_c, m_d; a plant needs m_f >= 1 and m_l >= 1
                 "orders": {
                     "type": "array",
-                    "items": {"type": "integer", "minimum": 0},
+                    "prefixItems": [_COUNT, _COUNT,
+                                    {"type": "integer", "minimum": 0},
+                                    {"type": "integer", "minimum": 0}],
                     "minItems": 4,
                     "maxItems": 4,
                 },
@@ -109,7 +114,7 @@ CONFIG_SCHEMA = {
                     "items": {"type": "integer", "minimum": 1},
                     "minItems": 1,
                 },
-                "max_iter": {"type": "integer", "minimum": 1},
+                "max_iter": _COUNT,
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "delta_reg": {"type": "number", "exclusiveMinimum": 0},
                 "known_zero_ic": {"type": "boolean"},
@@ -155,6 +160,22 @@ def load_config(path: str) -> dict:
         lines = [f"{_field_path(e)}: {e.message}" for e in errors]
         raise ConfigError("invalid config:\n  " + "\n  ".join(lines))
     return doc
+
+
+def _rule(section: str, key: str) -> dict:
+    """The schema rule of the config key ``section.key``."""
+    return CONFIG_SCHEMA["properties"][section]["properties"][key]
+
+
+def _check_flag(flag: str, value, rule: dict):
+    """``value`` if it obeys ``rule``, the schema rule of the config key that
+    the flag sets; a flag that was not given (None) passes."""
+    if value is not None:
+        error = jsonschema.exceptions.best_match(
+            jsonschema.Draft202012Validator(rule).iter_errors(value))
+        if error is not None:
+            raise ConfigError(f"{flag}: {error.message}")
+    return value
 
 
 def _poly(coeffs) -> Polynomial:
@@ -217,18 +238,18 @@ def wnsf_settings_from(doc: dict):
 
 
 def parse_orders(text: str) -> ModelOrders:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError("--orders expects four integers m_f,m_l,m_c,m_d")
+    """'m_f,m_l,m_c,m_d', checked by the rule of ``wnsf.orders``."""
     try:
-        return ModelOrders(*(int(p) for p in parts))
+        orders = [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--orders: {exc}")
+    _check_flag("--orders", orders, _rule("wnsf", "orders"))
+    return ModelOrders(*orders)
 
 
 def parse_n_grid(text: str):
     """Either a comma list '50,100,150' or a range 'start:stop:step'
-    (stop inclusive)."""
+    (stop inclusive); checked by the rule of ``wnsf.n_grid``."""
     try:
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
@@ -240,10 +261,22 @@ def parse_n_grid(text: str):
                 raise ValueError("expected start:stop[:step]")
             if step < 1 or stop < start:
                 raise ValueError("need stop >= start and step >= 1")
-            return tuple(range(start, stop + 1, step))
-        return tuple(int(p) for p in text.split(","))
+            grid = list(range(start, stop + 1, step))
+        else:
+            grid = [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--n-grid: {exc}")
+    return tuple(_check_flag("--n-grid", grid, _rule("wnsf", "n_grid")))
+
+
+@contextlib.contextmanager
+def _writing(flag: str):
+    """Report a failure to write the outputs named by ``flag`` as a config
+    error (a missing directory, a file where a directory should be)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot write output: {exc}")
 
 
 def _write_json(path, payload):
@@ -268,7 +301,8 @@ def _echo_config(doc: dict, cfg: LoopConfig, data: DataSet, path):
 
 def cmd_simulate(args) -> int:
     doc = load_config(args.config)
-    cfg = loop_config_from(doc, seed_override=args.seed)
+    seed = _check_flag("--seed", args.seed, _rule("experiment", "seed"))
+    cfg = loop_config_from(doc, seed_override=seed)
     try:
         data = generate(cfg)
     except (UnstableLoopError, ZeroDivisionError) as exc:
@@ -277,8 +311,9 @@ def cmd_simulate(args) -> int:
         return EXIT_SIMULATION
     if not args.with_noise:
         data = replace(data, e=None)
-    data.to_csv(args.out)
-    _echo_config(doc, cfg, data, args.out + ".config.json")
+    with _writing("--out"):
+        data.to_csv(args.out)
+        _echo_config(doc, cfg, data, args.out + ".config.json")
     log.info("wrote %d samples to %s", data.N, args.out)
     return EXIT_OK
 
@@ -287,14 +322,15 @@ def cmd_identify(args) -> int:
     orders = parse_orders(args.orders)
     options = WnsfOptions(
         n_grid=parse_n_grid(args.n_grid),
-        max_iter=args.max_iter,
-        tol=args.tol,
+        max_iter=_check_flag("--max-iter", args.max_iter,
+                             _rule("wnsf", "max_iter")),
+        tol=_check_flag("--tol", args.tol, _rule("wnsf", "tol")),
         known_zero_ic=args.known_zero_ic,
     )
     try:
         data = DataSet.from_csv(args.data)
     except (OSError, KeyError, ValueError) as exc:
-        raise ConfigError(f"cannot load data: {exc}")
+        raise ConfigError(f"--data: cannot load data: {exc}")
     try:
         est = wnsf_identify(data, orders, options)
     except IdentificationError as exc:
@@ -304,7 +340,8 @@ def cmd_identify(args) -> int:
         return EXIT_IDENTIFICATION
     payload = est.to_json()
     if args.out:
-        _write_json(args.out, payload)
+        with _writing("--out"):
+            _write_json(args.out, payload)
     else:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         print()
@@ -312,6 +349,9 @@ def cmd_identify(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    # --runs and --jobs set no config key; each counts something
+    runs = _check_flag("--runs", args.runs, _COUNT)
+    jobs = _check_flag("--jobs", args.jobs, _COUNT)
     doc = load_config(args.config)
     cfg = loop_config_from(doc)
     orders, options = wnsf_settings_from(doc)
@@ -322,11 +362,13 @@ def cmd_montecarlo(args) -> int:
         return EXIT_SIMULATION
     exp = McExperiment(loop=cfg, orders=orders, options=options,
                        base_seed=cfg.seed)
-    result = run_monte_carlo(exp, runs=args.runs, parallelism=args.jobs)
-    os.makedirs(args.out_dir, exist_ok=True)
-    result.write_csv(os.path.join(args.out_dir, "runs.csv"))
-    result.write_json(os.path.join(args.out_dir, "aggregate.json"))
-    _echo_config(doc, cfg, base, os.path.join(args.out_dir, "config.json"))
+    with _writing("--out-dir"):
+        os.makedirs(args.out_dir, exist_ok=True)
+    result = run_monte_carlo(exp, runs=runs, parallelism=jobs)
+    with _writing("--out-dir"):
+        result.write_csv(os.path.join(args.out_dir, "runs.csv"))
+        result.write_json(os.path.join(args.out_dir, "aggregate.json"))
+        _echo_config(doc, cfg, base, os.path.join(args.out_dir, "config.json"))
     agg = result.aggregate()
     log.info("monte carlo aggregate: %s", agg)
     if result.failures == len(result.runs):
@@ -341,9 +383,18 @@ def cmd_crb(args) -> int:
     doc = load_config(args.config)
     cfg = loop_config_from(doc)
     crb_sec = doc.get("crb") or {}
-    kind = args.kind or crb_sec.get("kind", "full")
-    grid = args.grid_size or crb_sec.get("grid_size", GRID_SIZE_DEFAULT)
-    sm = SpectrumModel.from_loop_config(cfg)
+
+    def setting(flag, key, default):
+        value = _check_flag(flag, getattr(args, key), _rule("crb", key))
+        return crb_sec.get(key, default) if value is None else value
+
+    kind = setting("--kind", "kind", "full")
+    grid = setting("--grid-size", "grid_size", GRID_SIZE_DEFAULT)
+    n = setting("--n", "n", 200)
+    try:
+        sm = SpectrumModel.from_loop_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"noise.snr_target: {exc}")
     try:
         if kind == "full":
             res = compute_mcr(sm, grid_size=grid)
@@ -352,14 +403,17 @@ def cmd_crb(args) -> int:
             M = compute_mcl(sm, grid_size=grid)
             payload = {"M": M.tolist(), "grid_size": grid, "kind": kind}
         else:
-            n = args.n or crb_sec.get("n", 200)
             M = mbar_limit(sm, n=n, grid_size=grid)
             payload = {"M": M.tolist(), "grid_size": grid, "kind": kind, "n": n}
-    except (NonInformativeError, np.linalg.LinAlgError) as exc:
-        print(f"error: bound computation failed: {exc}", file=sys.stderr)
+    except (NonInformativeError, np.linalg.LinAlgError, ValueError,
+            ZeroDivisionError) as exc:
+        where = f"{kind}, n = {n}" if kind == "finite_order" else kind
+        print(f"error: bound computation failed ({where}): {exc}",
+              file=sys.stderr)
         return EXIT_BOUND
     if args.out:
-        _write_json(args.out, payload)
+        with _writing("--out"):
+            _write_json(args.out, payload)
     else:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         print()
@@ -404,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crb", help="compute the asymptotic covariance bound")
     p.add_argument("config", help="JSON experiment config")
     p.add_argument("--grid-size", type=int, default=None)
-    p.add_argument("--kind", choices=["full", "reference_only", "finite_order"],
-                   default=None)
+    p.add_argument("--kind", default=None,
+                   help=", ".join(_rule("crb", "kind")["enum"]))
     p.add_argument("--n", type=int, default=None,
                    help="truncation order for the finite-order bound")
     p.add_argument("--out", default=None, help="write the report JSON here")

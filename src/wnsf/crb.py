@@ -1,18 +1,21 @@
 """Asymptotic covariance / Cramer-Rao bound calculators.
 
-The reference-induced input spectrum takes its r -> u filter from
-``simulate.reference_path``, the one place that defines the loop paths, so
-the bounds describe the same experiment that ``simulate.generate`` runs.
+Every information matrix is one quadrature, ``_integrate``, of
+(1/2pi) int A Phi_z A* dw with Phi_z the spectrum of [u e]^T: M_CR takes
+A = Omega; M_CL the dynamic rows of Omega against the reference-only input
+spectrum; Rbar^n takes A = Lambda_n; and Mbar^n = Z^T Rbar^n Z, Z = T^-1 Q,
+takes A = Z^T Lambda_n, so Rbar^n is never formed.  The rule is trapezoidal
+on a uniform grid over [0, pi]; conjugate symmetry gives the full-circle
+value as twice the real part.
 
-All integrals are trapezoidal quadrature on a uniform frequency grid over
-[0, pi]; conjugate symmetry of the integrands gives the full-circle value as
-twice the real part.
+The r -> u filter comes from ``simulate.reference_path``, the one place that
+defines the loop paths, so the bounds describe the same experiment that
+``simulate.generate`` runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -40,6 +43,9 @@ class SpectrumModel:
 
     @classmethod
     def from_loop_config(cls, cfg: LoopConfig) -> "SpectrumModel":
+        if cfg.snr_target is not None:
+            raise ValueError("the bound needs the noise level as std; the "
+                             "one snr_target picks depends on the data")
         return cls(
             system=cfg.system,
             controller=cfg.controller,
@@ -48,6 +54,11 @@ class SpectrumModel:
             sigma2=cfg.noise_std**2,
             loop_kind=cfg.loop_kind,
         )
+
+    @property
+    def orders(self) -> ModelOrders:
+        s = self.system
+        return ModelOrders(s.m_f, s.m_l, s.m_c, s.m_d)
 
 
 @dataclass(frozen=True)
@@ -107,110 +118,98 @@ def build_omega_matrix(system: BjModel, orders: ModelOrders,
     """Gradient matrix of the prediction errors in the frequency domain;
     shape (dim, 2, len(omega))."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    G = freq_response(system.G, omega)
-    H = freq_response(system.H, omega)
-    F = freq_response(RationalFilter(system.F), omega)
-    C = freq_response(RationalFilter(system.C), omega)
-    D = freq_response(RationalFilter(system.D), omega)
-
+    G, H = freq_response(system.G, omega), freq_response(system.H, omega)
+    F, C, D = (freq_response(RationalFilter(p), omega)
+               for p in (system.F, system.C, system.D))
+    # (channel of [u e], transfer, order) of the F, L, C and D rows
+    blocks = [(0, -G / (H * F), orders.m_f), (0, 1.0 / (H * F), orders.m_l),
+              (1, 1.0 / C, orders.m_c), (1, -1.0 / D, orders.m_d)]
     out = np.zeros((orders.dim, 2, len(omega)), dtype=complex)
     row = 0
-    out[row: row + orders.m_f, 0, :] = -(G / (H * F)) * _gamma(orders.m_f, omega)
-    row += orders.m_f
-    out[row: row + orders.m_l, 0, :] = (1.0 / (H * F)) * _gamma(orders.m_l, omega)
-    row += orders.m_l
-    if orders.m_c:
-        out[row: row + orders.m_c, 1, :] = (1.0 / C) * _gamma(orders.m_c, omega)
-        row += orders.m_c
-    if orders.m_d:
-        out[row: row + orders.m_d, 1, :] = -(1.0 / D) * _gamma(orders.m_d, omega)
+    for channel, transfer, m in blocks:
+        out[row: row + m, channel] = transfer * _gamma(m, omega)
+        row += m
     return out
+
+
+def _lambda_projected(Z: np.ndarray, sm: SpectrumModel,
+                      omega: np.ndarray) -> np.ndarray:
+    """Z^T Lambda_n on the grid for Z with 2n rows; shape (cols, 2, W).
+    Lambda_n = [-Gamma_n G, -Gamma_n H; Gamma_n, 0] maps [u e]^T to the ARX
+    regressor [-y; u] of order n; only Z^T Gamma_n is formed."""
+    n = Z.shape[0] // 2
+    gam = _gamma(n, omega)
+    Za, Zb = Z[:n].T @ gam, Z[n:].T @ gam
+    G, H = (freq_response(f, omega) for f in (sm.system.G, sm.system.H))
+    return np.stack([Zb - Za * G, -Za * H], axis=1)
+
+
+def _integrate(A: np.ndarray, Pz: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(1/2pi) int A Phi_z A* dw = (1/pi) Re sum_k w_k A_k Phi_z,k A_k*,
+    symmetrised, for A of shape (m, c, W), Pz of shape (W, c, c) and the
+    quadrature weights w of ``_quad_weights``."""
+    m = A.shape[0]
+    AP = np.einsum("iaw,wab->ibw", A, Pz * w[:, None, None])
+    M = (AP.reshape(m, -1) @ np.conj(A).reshape(m, -1).T).real / np.pi
+    return 0.5 * (M + M.T)
 
 
 def _quad_weights(grid_size: int):
     omega = np.linspace(0.0, np.pi, grid_size)
     w = np.full(grid_size, omega[1] - omega[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w[[0, -1]] *= 0.5
     return omega, w
 
 
-def _orders_of(system: BjModel) -> ModelOrders:
-    return ModelOrders(system.m_f, system.m_l, system.m_c, system.m_d)
+def _positive_definite(M: np.ndarray, what: str) -> np.ndarray:
+    lam = np.linalg.eigvalsh(M)[0]
+    if lam <= 0:
+        raise NonInformativeError(f"{what} not positive definite ({lam:g})")
+    return M
 
 
-def compute_mcr(sm: SpectrumModel, grid_size: int = GRID_SIZE_DEFAULT,
-                orders: Optional[ModelOrders] = None) -> CrbResult:
+def compute_mcr(sm: SpectrumModel,
+                grid_size: int = GRID_SIZE_DEFAULT) -> CrbResult:
     """M_CR = (1/2pi) int Omega Phi_z Omega* dw and the dynamic-block trace
     of sigma2 M_CR^-1."""
-    orders = orders or _orders_of(sm.system)
     omega, w = _quad_weights(grid_size)
-    Om = build_omega_matrix(sm.system, orders, omega)     # (dim, 2, W)
-    Pz = phi_z(sm, omega)                                 # (W, 2, 2)
-    # integrand_w = Om_w Pz_w Om_w^*; accumulate over the grid in one einsum
-    OmP = np.einsum("iaw,wab->ibw", Om, Pz)
-    M = np.einsum("ibw,jbw,w->ij", OmP, np.conj(Om), w).real / np.pi
-    M = 0.5 * (M + M.T)
-
-    eigvals = np.linalg.eigvalsh(M)
-    if eigvals[0] <= 0:
-        raise NonInformativeError(
-            f"information matrix not positive definite (min eig {eigvals[0]:g})"
-        )
+    Om = build_omega_matrix(sm.system, sm.orders, omega)   # (dim, 2, W)
+    M = _positive_definite(_integrate(Om, phi_z(sm, omega), w),
+                           "information matrix")
     M_inv = np.linalg.inv(M)
-    dyn = orders.dyn_dim
+    dyn = sm.orders.dyn_dim
     trace = float(sm.sigma2 * np.trace(M_inv[:dyn, :dyn]))
     return CrbResult(M=M, M_inv=M_inv, dyn_block_trace=trace,
                      grid_size=grid_size)
 
 
-def compute_mcl(sm: SpectrumModel, grid_size: int = GRID_SIZE_DEFAULT,
-                orders: Optional[ModelOrders] = None) -> np.ndarray:
+def compute_mcl(sm: SpectrumModel,
+                grid_size: int = GRID_SIZE_DEFAULT) -> np.ndarray:
     """Closed-loop bound using only the reference-induced input spectrum and
     the dynamic-parameter rows."""
-    orders = orders or _orders_of(sm.system)
     omega, w = _quad_weights(grid_size)
-    Om = build_omega_matrix(sm.system, orders, omega)[: orders.dyn_dim, 0, :]
-    phi_u_r = _reference_input_spectrum(sm, omega)
-    M = np.einsum("iw,jw,w->ij", Om * phi_u_r, np.conj(Om), w).real / np.pi
-    M = 0.5 * (M + M.T)
-    if np.linalg.eigvalsh(M)[0] <= 0:
-        raise NonInformativeError("reference excitation is not informative")
-    return M
+    Om = build_omega_matrix(sm.system, sm.orders, omega)
+    Om = Om[: sm.orders.dyn_dim, :1]                         # (dyn, 1, W)
+    phi_u_r = _reference_input_spectrum(sm, omega)[:, None, None]
+    return _positive_definite(_integrate(Om, phi_u_r, w),
+                              "reference-only information matrix")
 
 
 def rbar_matrix(sm: SpectrumModel, n: int,
                 grid_size: int = GRID_SIZE_DEFAULT) -> np.ndarray:
-    """Limit regressor covariance Rbar^n = (1/2pi) int Lambda_n Phi_z
-    Lambda_n* dw with Lambda_n = [-Gamma_n G, -Gamma_n H; Gamma_n, 0]."""
+    """Limit regressor covariance Rbar^n: the quadrature with A = Lambda_n."""
     omega, w = _quad_weights(grid_size)
-    gam = _gamma(n, omega)                                # (n, W)
-    G = freq_response(sm.system.G, omega)
-    H = freq_response(sm.system.H, omega)
-    # Lambda columns (2n, W)
-    col_u = np.vstack([-gam * G, gam])
-    col_e = np.vstack([-gam * H, np.zeros_like(gam)])
-    Pz = phi_z(sm, omega)                                 # (W, 2, 2)
-    cols = (col_u, col_e)
-    R = np.zeros((2 * n, 2 * n))
-    for j in range(2):
-        for k in range(2):
-            weighted = cols[j] * (w * Pz[:, j, k])
-            R += (weighted @ np.conj(cols[k]).T).real
-    R /= np.pi
-    return 0.5 * (R + R.T)
+    Lam = _lambda_projected(np.eye(2 * n), sm, omega)
+    return _integrate(Lam, phi_z(sm, omega), w)
 
 
 def mbar_limit(sm: SpectrumModel, n: int,
-               grid_size: int = GRID_SIZE_DEFAULT,
-               orders: Optional[ModelOrders] = None) -> np.ndarray:
+               grid_size: int = GRID_SIZE_DEFAULT) -> np.ndarray:
     """Finite-n information matrix Q^T T^-T Rbar^n T^-1 Q at the true
     parameters; converges to M_CR as n grows."""
-    orders = orders or _orders_of(sm.system)
-    eta_o = true_eta(sm.system, n)
-    Q = build_Q(eta_o, orders)
-    T = build_T(sm.system.theta, n, orders)
+    Q = build_Q(true_eta(sm.system, n), sm.orders)
+    T = build_T(sm.system.theta, n, sm.orders)
     Z = solve_triangular(T, Q, lower=True, unit_diagonal=True)
-    R = rbar_matrix(sm, n, grid_size)
-    M = Z.T @ R @ Z
-    return 0.5 * (M + M.T)
+    omega, w = _quad_weights(grid_size)
+    A = _lambda_projected(Z, sm, omega)                     # (dim, 2, W)
+    return _integrate(A, phi_z(sm, omega), w)

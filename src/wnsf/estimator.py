@@ -120,6 +120,8 @@ class WnsfOptions:
             raise ValueError("max_iter must be >= 1")
         if len(self.n_grid) == 0:
             raise ValueError("n_grid must not be empty")
+        if min(self.n_grid) < 1:
+            raise ValueError("n_grid entries must be >= 1")
 
 
 def build_Q(eta: np.ndarray, orders: ModelOrders) -> np.ndarray:

@@ -108,7 +108,13 @@ class DataSet:
     def from_csv(cls, path) -> "DataSet":
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            rows = [line for line in fh if line.strip()]
+        if not rows:
+            raise ValueError("no data rows below the header")
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"rows have {data.shape[1]} columns, the header "
+                             f"{len(header)}")
         cols = {name: data[:, i] for i, name in enumerate(header)}
         return cls(
             r=cols["r"], u=cols["u"], y=cols["y"], e=cols.get("e")

@@ -154,6 +154,94 @@ class TestConfigRejected:
         assert f"{section}:" in err and named in err
 
 
+IDENTIFY = ["identify", "--data", "{data}", "--orders", "2,2,1,1",
+            "--n-grid", "20"]
+
+# (argv with {placeholders}, exit code, text the message must contain)
+BAD_INPUTS = {
+    # flags are checked by the schema rule of the config key they set
+    "max_iter_0": (IDENTIFY + ["--max-iter", "0"], EXIT_CONFIG, "--max-iter"),
+    "tol_negative": (IDENTIFY + ["--tol", "-1"], EXIT_CONFIG, "--tol"),
+    "n_grid_0": (IDENTIFY[:-1] + ["0"], EXIT_CONFIG, "--n-grid"),
+    "grid_size_1": (["crb", "{cfg}", "--grid-size", "1"], EXIT_CONFIG,
+                    "--grid-size"),
+    "grid_size_0": (["crb", "{cfg}", "--grid-size", "0"], EXIT_CONFIG,
+                    "--grid-size"),
+    "crb_n_0": (["crb", "{cfg}", "--n", "0"], EXIT_CONFIG, "--n"),
+    "kind_unknown": (["crb", "{cfg}", "--kind", "bogus"], EXIT_CONFIG,
+                     "--kind"),
+    "seed_negative": (["simulate", "{cfg}", "--out", "{tmp}/x.csv",
+                       "--seed", "-1"], EXIT_CONFIG, "--seed"),
+    "orders_zero": (IDENTIFY[:4] + ["0,1,0,0"], EXIT_CONFIG, "--orders"),
+    "config_orders_zero": (["montecarlo", "{orders0}", "--runs", "1",
+                            "--out-dir", "{tmp}/mc"], EXIT_CONFIG,
+                           "wnsf.orders"),
+    # --runs and --jobs set no config key; both count something
+    "runs_0": (["montecarlo", "{cfg}", "--runs", "0", "--out-dir",
+                "{tmp}/mc"], EXIT_CONFIG, "--runs"),
+    "jobs_0": (["montecarlo", "{cfg}", "--runs", "1", "--jobs", "0",
+                "--out-dir", "{tmp}/mc"], EXIT_CONFIG, "--jobs"),
+    # data files and output paths
+    "csv_without_rows": (["identify", "--data", "{empty}", "--orders",
+                          "2,2,1,1"], EXIT_CONFIG, "--data"),
+    "csv_short_row": (["identify", "--data", "{short}", "--orders",
+                       "2,2,1,1"], EXIT_CONFIG, "--data"),
+    "simulate_out_missing_dir": (["simulate", "{cfg}", "--out",
+                                  "{tmp}/missing/x.csv"], EXIT_CONFIG,
+                                 "--out"),
+    "identify_out_missing_dir": (IDENTIFY + ["--out", "{tmp}/missing/e.json"],
+                                 EXIT_CONFIG, "--out"),
+    "out_dir_under_file": (["montecarlo", "{cfg}", "--runs", "1",
+                            "--out-dir", "{tmp}/afile/mc"], EXIT_CONFIG,
+                           "--out-dir"),
+    # the bound
+    "finite_order_n_below_orders": (["crb", "{cfg}", "--kind",
+                                     "finite_order", "--n", "1"],
+                                    EXIT_BOUND, "n = 1"),
+    "finite_order_c_not_inversely_stable": (
+        ["crb", "{c_unstable}", "--kind", "finite_order", "--n", "20",
+         "--grid-size", "256"], EXIT_BOUND, "noise model"),
+    "crb_pole_on_unit_circle": (["crb", "{unit_root}", "--grid-size", "256"],
+                                EXIT_BOUND, "unit circle"),
+    "crb_snr_target": (["crb", "{snr}"], EXIT_CONFIG, "noise.snr_target"),
+}
+
+
+@pytest.fixture
+def bad_input_paths(tmp_path):
+    doc = json.loads(json.dumps(BENCH_CONFIG))
+    doc["experiment"]["N"] = 300
+    doc["wnsf"] = {"orders": [2, 2, 1, 1], "n_grid": [20]}
+    variants = {
+        "orders0": {"wnsf": {"orders": [0, 1, 0, 0]}},
+        "snr": {"noise": {"snr_target": 50.0}},
+        "c_unstable": {"system": dict(doc["system"], C=[1.0, 2.0])},
+        "unit_root": {"system": dict(doc["system"], F=[1.0, -2.0, 1.0])},
+    }
+    paths = {"tmp": str(tmp_path), "cfg": _write_config(tmp_path, doc)}
+    for name, change in variants.items():
+        paths[name] = _write_config(tmp_path, dict(doc, **change),
+                                    f"{name}.json")
+    paths["data"] = str(tmp_path / "data.csv")
+    generate(loop_config_from(doc)).to_csv(paths["data"])
+    for name, text in (("empty", "t,r,u,y\n"),
+                       ("short", "t,r,u,y\n1,0.1,0.2\n2,0.3,0.4\n")):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        Path(paths[name]).write_text(text)
+    (tmp_path / "afile").write_text("a regular file")
+    return paths
+
+
+class TestBadInputExitsCleanly:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_code_and_message(self, bad_input_paths, capsys, case):
+        argv, code, named = BAD_INPUTS[case]
+        assert main([a.format(**bad_input_paths) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
+
+
 class TestIdentifyCommand:
     def test_oe_single_seed_fit(self, tmp_path, capsys):
         data_path = tmp_path / "oe.csv"

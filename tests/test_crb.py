@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from wnsf.arx import estimate_arx
+from wnsf import crb
+from wnsf.arx import estimate_arx, true_eta
 from wnsf.crb import (
     CrbResult,
     NonInformativeError,
@@ -13,11 +17,80 @@ from wnsf.crb import (
     phi_z,
     rbar_matrix,
 )
-from wnsf.estimator import ModelOrders
-from wnsf.lti import BjModel, Polynomial, RationalFilter
-from wnsf.simulate import LoopConfig, generate
+from wnsf.estimator import ModelOrders, build_Q, build_T
+from wnsf.lti import BjModel, Polynomial, RationalFilter, freq_response
+from wnsf.simulate import LOOP_KINDS, LoopConfig, generate
 
 BJ_ORDERS = ModelOrders(2, 2, 1, 1)
+
+
+# Reference integrals: each information matrix computed its own way, by
+# explicit einsums and a 2 x 2 loop over the channels of [u e]^T, on the
+# same trapezoidal grid as ``crb``.
+
+def _grid(grid_size):
+    omega = np.linspace(0.0, np.pi, grid_size)
+    w = np.full(grid_size, omega[1] - omega[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return omega, w
+
+
+def oracle_mcr(sm, grid_size):
+    omega, w = _grid(grid_size)
+    Om = build_omega_matrix(sm.system, BJ_ORDERS, omega)
+    OmP = np.einsum("iaw,wab->ibw", Om, phi_z(sm, omega))
+    M = np.einsum("ibw,jbw,w->ij", OmP, np.conj(Om), w).real / np.pi
+    return 0.5 * (M + M.T)
+
+
+def oracle_mcl(sm, grid_size):
+    omega, w = _grid(grid_size)
+    Om = build_omega_matrix(sm.system, BJ_ORDERS, omega)[:4, 0, :]
+    # with sigma2 = 0 only the reference feeds the input
+    phi_u_r = phi_z(replace(sm, sigma2=0.0), omega)[:, 0, 0].real
+    M = np.einsum("iw,jw,w->ij", Om * phi_u_r, np.conj(Om), w).real / np.pi
+    return 0.5 * (M + M.T)
+
+
+def oracle_rbar(sm, n, grid_size):
+    omega, w = _grid(grid_size)
+    gam = np.exp(-1j * np.outer(np.arange(1, n + 1), omega))
+    G = freq_response(sm.system.G, omega)
+    H = freq_response(sm.system.H, omega)
+    # the columns of Lambda_n = [-Gamma G, -Gamma H; Gamma, 0]
+    cols = (np.vstack([-gam * G, gam]),
+            np.vstack([-gam * H, np.zeros_like(gam)]))
+    Pz = phi_z(sm, omega)
+    R = np.zeros((2 * n, 2 * n))
+    for j in range(2):
+        for k in range(2):
+            weighted = cols[j] * (w * Pz[:, j, k])
+            R += (weighted @ np.conj(cols[k]).T).real
+    R /= np.pi
+    return 0.5 * (R + R.T)
+
+
+def oracle_mbar(sm, n, grid_size):
+    Q = build_Q(true_eta(sm.system, n), BJ_ORDERS)
+    T = build_T(sm.system.theta, n, BJ_ORDERS)
+    Z = solve_triangular(T, Q, lower=True, unit_diagonal=True)
+    M = Z.T @ oracle_rbar(sm, n, grid_size) @ Z
+    return 0.5 * (M + M.T)
+
+
+def _dynamic_controller_sm(bench_system, loop_kind):
+    """K = (0.5 - 0.2 q^-1)/(1 - 0.3 q^-1) keeps the loop stable, and its
+    numerator differs from its denominator, so every loop kind differs."""
+    K = RationalFilter(Polynomial([0.5, -0.2]), Polynomial([1.0, -0.3]))
+    return SpectrumModel.from_loop_config(
+        LoopConfig(system=bench_system, controller=K, noise_std=0.8,
+                   loop_kind=loop_kind))
+
+
+ORACLE_CASES = ([(kind, 2, 2) for kind in LOOP_KINDS]
+                + [(kind, 50, 512) for kind in LOOP_KINDS]
+                + [("closed", 200, 8192)])
 
 
 @pytest.fixture
@@ -200,3 +273,40 @@ class TestMbarLimit:
         target = closed_sm.sigma2 * np.linalg.inv(rbar_matrix(closed_sm, n))
         rel = np.abs(np.diag(emp) - np.diag(target)) / np.diag(target)
         assert np.max(rel) < 0.25
+
+
+class TestOneQuadrature:
+    """Each information matrix equals its reference integral to 1e-12 of
+    its largest entry.  The positive-definiteness check is bypassed: on a
+    two-point grid the information matrices are singular by construction,
+    and the check is not what is compared here."""
+
+    @pytest.mark.parametrize("loop_kind, n, grid_size", ORACLE_CASES)
+    def test_matches_reference_integrals(self, monkeypatch, bench_system,
+                                         loop_kind, n, grid_size):
+        monkeypatch.setattr(crb, "_positive_definite", lambda M, what: M)
+        sm = _dynamic_controller_sm(bench_system, loop_kind)
+        pairs = {
+            "M_CR": (compute_mcr(sm, grid_size).M, oracle_mcr(sm, grid_size)),
+            "M_CL": (compute_mcl(sm, grid_size), oracle_mcl(sm, grid_size)),
+            "Rbar": (rbar_matrix(sm, n, grid_size),
+                     oracle_rbar(sm, n, grid_size)),
+            "Mbar": (mbar_limit(sm, n, grid_size),
+                     oracle_mbar(sm, n, grid_size)),
+        }
+        for name, (got, want) in pairs.items():
+            assert got.shape == want.shape, name
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+
+    def test_mbar_never_forms_rbar(self, monkeypatch, closed_sm):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mbar_limit formed Rbar^n")
+        monkeypatch.setattr(crb, "rbar_matrix", forbidden)
+        assert mbar_limit(closed_sm, n=20, grid_size=256).shape == (6, 6)
+
+    def test_snr_target_rejected(self, bench_closed_cfg):
+        # the noise level snr_target picks depends on a simulated record
+        with pytest.raises(ValueError, match="snr_target"):
+            SpectrumModel.from_loop_config(
+                replace(bench_closed_cfg, snr_target=2.0))

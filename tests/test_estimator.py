@@ -304,3 +304,11 @@ class TestIdentify:
                                  "reflected"} <= doc["trace"][0].keys()
         model = est.model
         assert isinstance(model, BjModel)
+
+
+class TestOptions:
+    @pytest.mark.parametrize("n_grid", [(0,), (50, -1)])
+    def test_grid_entries_below_one_rejected(self, n_grid):
+        # an n of 0 used to reach step 1 and raise IndexError there
+        with pytest.raises(ValueError, match="n_grid"):
+            WnsfOptions(n_grid=n_grid)
