@@ -82,7 +82,7 @@ def build_regressors(data: DataSet, n: int, known_zero_ic: bool = False):
     """
     N = data.N
     if 2 * n >= N:
-        raise ValueError(f"ARX order n={n} too large for N={N} samples")
+        raise ValueError(f"ARX order n={n} needs N >= 2n + 1, not N={N}")
     t0 = 1 if known_zero_ic else n + 1
     x = np.stack([-data.y, data.u])
     # xp[:, n - 1 + k] = x_k in 1-indexed time, zero for 1 - n <= k <= 0

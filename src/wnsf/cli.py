@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -133,6 +134,14 @@ CONFIG_SCHEMA = {
 }
 
 
+# JSON numbers are finite, but Python's json reads NaN and +-Infinity and
+# argparse's float reads "nan" and "inf"
+_DRAFT = jsonschema.Draft202012Validator
+_Validator = jsonschema.validators.extend(
+    _DRAFT, type_checker=_DRAFT.TYPE_CHECKER.redefine("number", lambda _, x: (
+        _DRAFT.TYPE_CHECKER.is_type(x, "number") and math.isfinite(x))))
+
+
 class ConfigError(ValueError):
     pass
 
@@ -154,7 +163,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    validator = _Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         lines = [f"{_field_path(e)}: {e.message}" for e in errors]
@@ -172,7 +181,7 @@ def _check_flag(flag: str, value, rule: dict):
     the flag sets; a flag that was not given (None) passes."""
     if value is not None:
         error = jsonschema.exceptions.best_match(
-            jsonschema.Draft202012Validator(rule).iter_errors(value))
+            _Validator(rule).iter_errors(value))
         if error is not None:
             raise ConfigError(f"{flag}: {error.message}")
     return value

@@ -4,9 +4,10 @@ Every information matrix is one quadrature, ``_integrate``, of
 (1/2pi) int A Phi_z A* dw with Phi_z the spectrum of [u e]^T: M_CR takes
 A = Omega; M_CL the dynamic rows of Omega against the reference-only input
 spectrum; Rbar^n takes A = Lambda_n; and Mbar^n = Z^T Rbar^n Z, Z = T^-1 Q,
-takes A = Z^T Lambda_n, so Rbar^n is never formed.  The rule is trapezoidal
-on a uniform grid over [0, pi]; conjugate symmetry gives the full-circle
-value as twice the real part.
+takes A = Z^T Lambda_n, so Rbar^n is never formed.  T^-1 is applied to Q
+by filtering with 1/C and 1/F (``estimator.apply_T_inverse``), not by
+forming T.  The rule is trapezoidal on a uniform grid over [0, pi];
+conjugate symmetry gives the full-circle value as twice the real part.
 
 The r -> u filter comes from ``simulate.reference_path``, the one place that
 defines the loop paths, so the bounds describe the same experiment that
@@ -18,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .arx import true_eta
-from .estimator import ModelOrders, build_Q, build_T
+from .estimator import ModelOrders, apply_T_inverse, build_Q
 from .lti import BjModel, RationalFilter, freq_response
 from .simulate import LoopConfig, reference_path, sensitivity
 
@@ -208,8 +208,7 @@ def mbar_limit(sm: SpectrumModel, n: int,
     """Finite-n information matrix Q^T T^-T Rbar^n T^-1 Q at the true
     parameters; converges to M_CR as n grows."""
     Q = build_Q(true_eta(sm.system, n), sm.orders)
-    T = build_T(sm.system.theta, n, sm.orders)
-    Z = solve_triangular(T, Q, lower=True, unit_diagonal=True)
+    Z = apply_T_inverse(sm.system.theta, Q, sm.orders)
     omega, w = _quad_weights(grid_size)
     A = _lambda_projected(Z, sm, omega)                     # (dim, 2, W)
     return _integrate(A, phi_z(sm, omega), w)

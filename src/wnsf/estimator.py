@@ -4,8 +4,10 @@ structured Box-Jenkins (or output-error) model.
 Step 2 solves the over-determined Toeplitz system eta = Q(eta) theta by least
 squares.  Step 3 re-solves it with the statistically optimal weighting
 W = T^-T R T^-1 built from the previous parameter estimate, and may be
-iterated.  The ARX order n and the iteration are selected by the quadratic
-prediction-error cost.
+iterated.  T is block lower-triangular Toeplitz in C, L and F, so T^-1 is
+applied by filtering with 1/C and 1/F (``apply_T_inverse``); the dense T of
+``build_T`` is only a reference for the tests.  The ARX order n and the
+iteration are selected by the quadratic prediction-error cost.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from scipy.linalg import cholesky, solve_triangular
 
 from .arx import ArxEstimate, estimate_arx
 from .lti import (
+    ONE,
     TOL_STAB,
     BjModel,
     Polynomial,
@@ -71,6 +74,9 @@ class ModelOrders:
     def is_oe(self) -> bool:
         return self.m_c == 0 and self.m_d == 0
 
+    def model(self, theta) -> BjModel:
+        return BjModel.from_theta(theta, self.m_f, self.m_l, self.m_c, self.m_d)
+
 
 @dataclass
 class ThetaEstimate:
@@ -86,8 +92,7 @@ class ThetaEstimate:
 
     @property
     def model(self) -> BjModel:
-        o = self.orders
-        return BjModel.from_theta(self.theta, o.m_f, o.m_l, o.m_c, o.m_d)
+        return self.orders.model(self.theta)
 
     def to_json(self):
         return {
@@ -114,8 +119,8 @@ class WnsfOptions:
     known_zero_ic: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if len(self.n_grid) == 0:
@@ -152,9 +157,9 @@ def build_Q(eta: np.ndarray, orders: ModelOrders) -> np.ndarray:
 
 def build_T(theta: np.ndarray, n: int, orders: ModelOrders) -> np.ndarray:
     """Residual-dynamics matrix [Tc 0; -Tl Tf]; lower triangular with unit
-    diagonal."""
-    model = BjModel.from_theta(theta, orders.m_f, orders.m_l,
-                               orders.m_c, orders.m_d)
+    diagonal.  The dense reference for ``apply_T_inverse``: no production
+    code calls it."""
+    model = orders.model(theta)
     T = np.zeros((2 * n, 2 * n))
     T[:n, :n] = toeplitz_matrix(model.C, n, n)
     T[n:, :n] = -toeplitz_matrix(model.L, n, n)
@@ -162,29 +167,23 @@ def build_T(theta: np.ndarray, n: int, orders: ModelOrders) -> np.ndarray:
     return T
 
 
-def build_T_inverse(theta: np.ndarray, n: int, orders: ModelOrders) -> np.ndarray:
-    """Closed-form block inverse [Tc^-1 0; Tf^-1 Tl Tc^-1 Tf^-1].
+def apply_T_inverse(theta: np.ndarray, X: np.ndarray,
+                    orders: ModelOrders) -> np.ndarray:
+    """T(theta)^-1 X for X with 2n rows, by forward substitution: each column
+    is filtered with zero initial conditions, Z_a = X_a / C and
+    Z_b = (X_b + L Z_a) / F."""
+    model = orders.model(theta)
+    n = len(X) // 2
+    # filter_signal runs along the last axis; the columns of X are signals
+    z_a = filter_signal(RationalFilter(ONE, model.C), X[:n].T)
+    z_b = filter_signal(RationalFilter(ONE, model.F),
+                        X[n:].T + filter_signal(RationalFilter(model.L), z_a))
+    return np.concatenate([z_a, z_b], axis=-1).T
 
-    Kept for cross-checking; the solver path uses triangular substitution.
-    """
-    model = BjModel.from_theta(theta, orders.m_f, orders.m_l,
-                               orders.m_c, orders.m_d)
-    imp = np.zeros(n)
-    imp[0] = 1.0
-    inv_c = toeplitz_matrix(
-        Polynomial(filter_signal(RationalFilter(Polynomial([1.0]), model.C), imp)),
-        n, n,
-    )
-    inv_f = toeplitz_matrix(
-        Polynomial(filter_signal(RationalFilter(Polynomial([1.0]), model.F), imp)),
-        n, n,
-    )
-    tl = toeplitz_matrix(model.L, n, n)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = inv_c
-    out[n:, :n] = inv_f @ tl @ inv_c
-    out[n:, n:] = inv_f
-    return out
+
+def build_T_inverse(theta: np.ndarray, n: int, orders: ModelOrders) -> np.ndarray:
+    """Dense T^-1, ``apply_T_inverse`` on the identity, for the tests."""
+    return apply_T_inverse(theta, np.eye(2 * n), orders)
 
 
 def _solve_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,16 +214,13 @@ def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
     """Weighted re-estimation with W = T^-T R T^-1 built at theta_prev.
 
     W is never formed: with R = G^T G (G the factor kept on ``arx``) the
-    problem is the plain least squares of (G T^-1 Q, G T^-1 eta).
+    problem is the plain least squares of (G T^-1 Q, G T^-1 eta), and T^-1
+    is applied to [Q | eta] in one filtering pass.
     """
     _require_stable_weighting(theta_prev, orders)
-    n = arx.n
-    Q = build_Q(arx.eta, orders)
-    T = build_T(theta_prev, n, orders)
-    Z = solve_triangular(T, Q, lower=True, unit_diagonal=True)
-    z = solve_triangular(T, arx.eta, lower=True, unit_diagonal=True)
-    G = arx.R_chol
-    theta = _solve_ls(G @ Z, G @ z)
+    X = np.column_stack([build_Q(arx.eta, orders), arx.eta])
+    GZ = arx.R_chol @ apply_T_inverse(theta_prev, X, orders)
+    theta = _solve_ls(GZ[:, :-1], GZ[:, -1])
     return _make_estimate(theta, arx, orders, iterations=1)
 
 
@@ -237,7 +233,7 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
     _require_stable_weighting(theta_prev, orders)
     n = arx.n
     Q2 = build_Q(arx.eta, orders)[n:, :]
-    model = BjModel.from_theta(theta_prev, orders.m_f, orders.m_l)
+    model = orders.model(theta_prev)
     t_bar = np.hstack(
         [-toeplitz_matrix(model.L, n, n), toeplitz_matrix(model.F, n, n)]
     )
@@ -253,8 +249,7 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
 
 
 def _require_stable_weighting(theta: np.ndarray, orders: ModelOrders):
-    model = BjModel.from_theta(theta, orders.m_f, orders.m_l,
-                               orders.m_c, orders.m_d)
+    model = orders.model(theta)
     if not (is_stable(model.F)[0] and is_stable(model.C)[0]):
         raise ValueError(
             "unstable weighting parameters; reflect the roots before step 3"
@@ -262,8 +257,7 @@ def _require_stable_weighting(theta: np.ndarray, orders: ModelOrders):
 
 
 def _make_estimate(theta, arx, orders, iterations) -> ThetaEstimate:
-    model = BjModel.from_theta(theta, orders.m_f, orders.m_l,
-                               orders.m_c, orders.m_d)
+    model = orders.model(theta)
     stable_noise = is_stable(model.C)[0] and is_stable(model.D)[0]
     return ThetaEstimate(
         theta=theta, orders=orders, n_used=arx.n, iterations=iterations,
@@ -276,8 +270,7 @@ def reflect_unstable(theta: np.ndarray, orders: ModelOrders,
     """Reflect roots of F and C that ``is_stable`` rejects (|z| >= 1 - TOL_STAB)
     to 1/conj(root), clamped to the given magnitude.  Returns (theta,
     changed)."""
-    model = BjModel.from_theta(theta, orders.m_f, orders.m_l,
-                               orders.m_c, orders.m_d)
+    model = orders.model(theta)
     changed = False
 
     def fix(poly: Polynomial) -> Polynomial:
@@ -307,8 +300,7 @@ def reflect_unstable(theta: np.ndarray, orders: ModelOrders,
 def pem_cost(theta: np.ndarray, data: DataSet, orders: ModelOrders) -> float:
     """Quadratic prediction-error cost (1/N) sum eps_t^2 with zero initial
     conditions; +inf when the predictor (C or F) is unstable."""
-    model = BjModel.from_theta(theta, orders.m_f, orders.m_l,
-                               orders.m_c, orders.m_d)
+    model = orders.model(theta)
     if not (is_stable(model.C)[0] and is_stable(model.F)[0]):
         return math.inf
     resid = data.y - filter_signal(model.G, data.u)
@@ -323,13 +315,11 @@ def wnsf_identify(data: DataSet, orders: ModelOrders,
     with minimal prediction-error cost (smaller n, then fewer iterations, on
     ties).  Candidates whose weighting needed root reflection are kept out of
     the selection unless nothing else is available."""
-    n_cap = (data.N - 1) // 2
-    grid = [n for n in options.n_grid if n <= n_cap]
     step3 = step3_wls_oe if orders.is_oe else step3_wls
 
     candidates = []
     failures = {}
-    for n in grid:
+    for n in options.n_grid:
         try:
             arx = estimate_arx(data, n, delta_reg=options.delta_reg,
                                known_zero_ic=options.known_zero_ic)

@@ -162,6 +162,9 @@ BAD_INPUTS = {
     # flags are checked by the schema rule of the config key they set
     "max_iter_0": (IDENTIFY + ["--max-iter", "0"], EXIT_CONFIG, "--max-iter"),
     "tol_negative": (IDENTIFY + ["--tol", "-1"], EXIT_CONFIG, "--tol"),
+    # argparse reads these as floats; a NaN tol never stopped the iteration
+    "tol_nan": (IDENTIFY + ["--tol", "nan"], EXIT_CONFIG, "--tol"),
+    "tol_inf": (IDENTIFY + ["--tol", "inf"], EXIT_CONFIG, "--tol"),
     "n_grid_0": (IDENTIFY[:-1] + ["0"], EXIT_CONFIG, "--n-grid"),
     "grid_size_1": (["crb", "{cfg}", "--grid-size", "1"], EXIT_CONFIG,
                     "--grid-size"),
@@ -204,6 +207,13 @@ BAD_INPUTS = {
     "crb_pole_on_unit_circle": (["crb", "{unit_root}", "--grid-size", "256"],
                                 EXIT_BOUND, "unit circle"),
     "crb_snr_target": (["crb", "{snr}"], EXIT_CONFIG, "noise.snr_target"),
+    # Python's json reads the constants NaN, Infinity and -Infinity
+    "config_std_nan": (["simulate", "{std_nan}", "--out", "{tmp}/x.csv"],
+                       EXIT_CONFIG, "noise.std"),
+    "config_std_infinity": (["simulate", "{std_inf}", "--out",
+                             "{tmp}/x.csv"], EXIT_CONFIG, "noise.std"),
+    "config_gain_minus_infinity": (["crb", "{gain_minus_inf}"], EXIT_CONFIG,
+                                   "reference.gain"),
 }
 
 
@@ -217,6 +227,9 @@ def bad_input_paths(tmp_path):
         "snr": {"noise": {"snr_target": 50.0}},
         "c_unstable": {"system": dict(doc["system"], C=[1.0, 2.0])},
         "unit_root": {"system": dict(doc["system"], F=[1.0, -2.0, 1.0])},
+        "std_nan": {"noise": {"std": float("nan")}},
+        "std_inf": {"noise": {"std": float("inf")}},
+        "gain_minus_inf": {"reference": {"gain": float("-inf")}},
     }
     paths = {"tmp": str(tmp_path), "cfg": _write_config(tmp_path, doc)}
     for name, change in variants.items():
@@ -289,6 +302,21 @@ class TestIdentifyCommand:
                      "--orders", "2,2,1,1", "--n-grid", "20"])
         assert code == EXIT_IDENTIFICATION
         assert "identification failed" in capsys.readouterr().err
+
+    def test_record_too_short_for_every_n(self, tmp_path, capsys):
+        # every n of the default grid 50..300 needs N >= 2n + 1 > 80; the
+        # command used to exit 4 without naming a single n
+        data_path = tmp_path / "short.csv"
+        doc = json.loads(json.dumps(BENCH_CONFIG))
+        doc["experiment"]["N"] = 80
+        generate(loop_config_from(doc)).to_csv(data_path)
+        code = main(["identify", "--data", str(data_path),
+                     "--orders", "2,2,1,1"])
+        assert code == EXIT_IDENTIFICATION
+        reasons = dict(line.strip().split(": ", 1) for line
+                       in capsys.readouterr().err.splitlines()[1:])
+        assert sorted(reasons) == sorted(f"n={n}" for n in range(50, 301, 50))
+        assert all("N >= 2n + 1" in reason for reason in reasons.values())
 
     def test_unreadable_data(self, tmp_path, capsys):
         code = main(["identify", "--data", str(tmp_path / "missing.csv"),

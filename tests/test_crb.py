@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from wnsf import crb
+from wnsf import crb, estimator
 from wnsf.arx import estimate_arx, true_eta
 from wnsf.crb import (
     CrbResult,
@@ -17,7 +17,13 @@ from wnsf.crb import (
     phi_z,
     rbar_matrix,
 )
-from wnsf.estimator import ModelOrders, build_Q, build_T
+from wnsf.estimator import (
+    ModelOrders,
+    WnsfOptions,
+    build_Q,
+    build_T,
+    wnsf_identify,
+)
 from wnsf.lti import BjModel, Polynomial, RationalFilter, freq_response
 from wnsf.simulate import LOOP_KINDS, LoopConfig, generate
 
@@ -303,6 +309,19 @@ class TestOneQuadrature:
         def forbidden(*args, **kwargs):
             raise AssertionError("mbar_limit formed Rbar^n")
         monkeypatch.setattr(crb, "rbar_matrix", forbidden)
+        assert mbar_limit(closed_sm, n=20, grid_size=256).shape == (6, 6)
+
+    def test_production_paths_never_form_T(self, monkeypatch, closed_sm,
+                                           bench_closed_cfg):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a production path formed the dense T")
+        monkeypatch.setattr(estimator, "build_T", forbidden)
+        # a name imported from estimator would escape the patch above
+        monkeypatch.setattr(crb, "build_T", forbidden, raising=False)
+        data = generate(replace(bench_closed_cfg, N=2000))
+        est = wnsf_identify(data, BJ_ORDERS,
+                            WnsfOptions(n_grid=(30,), max_iter=3))
+        assert est.iterations >= 1
         assert mbar_limit(closed_sm, n=20, grid_size=256).shape == (6, 6)
 
     def test_snr_target_rejected(self, bench_closed_cfg):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from wnsf.arx import ArxEstimate, estimate_arx, true_eta
 from wnsf.estimator import (
@@ -9,6 +12,7 @@ from wnsf.estimator import (
     ModelOrders,
     RankDeficientError,
     WnsfOptions,
+    apply_T_inverse,
     build_Q,
     build_T,
     build_T_inverse,
@@ -116,6 +120,40 @@ class TestBuildT:
         T = build_T(bench_system.theta, 10, BJ_ORDERS)
         assert np.allclose(np.diag(T), 1.0)
         assert np.max(np.abs(np.triu(T, 1))) == 0.0
+
+
+@st.composite
+def _t_inverse_cases(draw):
+    m_f, m_l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m_c, m_d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, 60))
+    cols = draw(st.sampled_from([None, 1, 7]))
+    return (ModelOrders(m_f, m_l, m_c, m_d), n, cols,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestApplyTInverse:
+    """The filter form of T^-1 against dense substitution in ``build_T``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_t_inverse_cases())
+    # OE orders, a noise model with m_c = 0 < m_d, and n below the degrees
+    # of the polynomials, so that T keeps only their leading coefficients
+    @example((ModelOrders(2, 2), 40, 1, 0))
+    @example((ModelOrders(2, 2, 0, 2), 30, 7, 1))
+    @example((ModelOrders(3, 3, 3, 3), 1, None, 2))
+    @example((ModelOrders(3, 2, 3, 0), 2, 7, 3))
+    def test_matches_dense_substitution(self, case):
+        orders, n, cols, seed = case
+        rng = np.random.default_rng(seed)
+        theta = random_stable_theta(rng, orders.m_f, orders.m_l,
+                                    orders.m_c, orders.m_d)
+        X = rng.standard_normal(2 * n if cols is None else (2 * n, cols))
+        want = solve_triangular(build_T(theta, n, orders), X, lower=True,
+                                unit_diagonal=True)
+        got = apply_T_inverse(theta, X, orders)
+        assert got.shape == X.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestStep2:
@@ -287,6 +325,16 @@ class TestIdentify:
         with pytest.raises(IdentificationError):
             wnsf_identify(data, BJ_ORDERS, WnsfOptions(n_grid=(500,)))
 
+    def test_orders_above_sample_cap_named(self, bench_system):
+        # n = 40 and n = 500 both need more than N = 60 samples; the grid
+        # left nothing to run, and the diagnostics used to be empty
+        data = generate(LoopConfig(system=bench_system, N=60, seed=0))
+        with pytest.raises(IdentificationError) as err:
+            wnsf_identify(data, BJ_ORDERS, WnsfOptions(n_grid=(40, 500)))
+        diagnostics = err.value.diagnostics
+        assert sorted(diagnostics) == [40, 500]
+        assert all("2n + 1" in reason for reason in diagnostics.values())
+
     def test_all_infeasible_reports_diagnostics(self):
         data = DataSet(r=np.zeros(400), u=np.zeros(400), y=np.zeros(400))
         with pytest.raises(IdentificationError) as err:
@@ -312,3 +360,9 @@ class TestOptions:
         # an n of 0 used to reach step 1 and raise IndexError there
         with pytest.raises(ValueError, match="n_grid"):
             WnsfOptions(n_grid=n_grid)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # a NaN tol never stopped the iteration; an infinite one always did
+        with pytest.raises(ValueError, match="tol"):
+            WnsfOptions(tol=tol)
