@@ -329,13 +329,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_identify(args) -> int:
     orders = parse_orders(args.orders)
-    options = WnsfOptions(
-        n_grid=parse_n_grid(args.n_grid),
-        max_iter=_check_flag("--max-iter", args.max_iter,
-                             _rule("wnsf", "max_iter")),
-        tol=_check_flag("--tol", args.tol, _rule("wnsf", "tol")),
-        known_zero_ic=args.known_zero_ic,
-    )
+    kwargs = {"known_zero_ic": args.known_zero_ic}
+    if args.n_grid is not None:
+        kwargs["n_grid"] = parse_n_grid(args.n_grid)
+    if args.max_iter is not None:
+        kwargs["max_iter"] = _check_flag("--max-iter", args.max_iter,
+                                         _rule("wnsf", "max_iter"))
+    if args.tol is not None:
+        kwargs["tol"] = _check_flag("--tol", args.tol, _rule("wnsf", "tol"))
+    options = WnsfOptions(**kwargs)
     try:
         data = DataSet.from_csv(args.data)
     except (OSError, KeyError, ValueError) as exc:
@@ -448,10 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="fit a model to a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV (t,r,u,y[,e])")
     p.add_argument("--orders", required=True, metavar="MF,ML,MC,MD")
-    p.add_argument("--n-grid", default="50:300:50",
-                   help="comma list or start:stop:step range (stop inclusive)")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-4)
+    # left-out flags keep the WnsfOptions defaults, named in the help
+    p.add_argument("--n-grid", help="comma list or start:stop:step range "
+                   f"(stop inclusive); default {WnsfOptions.n_grid}")
+    p.add_argument("--max-iter", type=int,
+                   help=f"default {WnsfOptions.max_iter}")
+    p.add_argument("--tol", type=float, help=f"default {WnsfOptions.tol}")
     p.add_argument("--known-zero-ic", action="store_true",
                    help="data starts from zero initial conditions")
     p.add_argument("--out", default=None, help="write the estimate JSON here")

@@ -208,7 +208,7 @@ def mbar_limit(sm: SpectrumModel, n: int,
     """Finite-n information matrix Q^T T^-T Rbar^n T^-1 Q at the true
     parameters; converges to M_CR as n grows."""
     Q = build_Q(true_eta(sm.system, n), sm.orders)
-    Z = apply_T_inverse(sm.system.theta, Q, sm.orders)
+    Z = apply_T_inverse(sm.system, Q)
     omega, w = _quad_weights(grid_size)
     A = _lambda_projected(Z, sm, omega)                     # (dim, 2, W)
     return _integrate(A, phi_z(sm, omega), w)

@@ -5,9 +5,10 @@ Step 2 solves the over-determined Toeplitz system eta = Q(eta) theta by least
 squares.  Step 3 re-solves it with the statistically optimal weighting
 W = T^-T R T^-1 built from the previous parameter estimate, and may be
 iterated.  T is block lower-triangular Toeplitz in C, L and F, so T^-1 is
-applied by filtering with 1/C and 1/F (``apply_T_inverse``); the dense T of
-``build_T`` is only a reference for the tests.  The ARX order n and the
-iteration are selected by the quadratic prediction-error cost.
+applied by filtering with 1/C and 1/F (``apply_T_inverse``, given the model
+that the step-3 guard built and found stable); the dense T of ``build_T`` is
+only a reference for the tests.  The ARX order n and the iteration are
+selected by the quadratic prediction-error cost.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .arx import ArxEstimate, estimate_arx
+from .arx import DELTA_REG_DEFAULT, ArxEstimate, estimate_arx
 from .lti import (
     ONE,
     TOL_STAB,
@@ -31,6 +32,9 @@ from .lti import (
     toeplitz_matrix,
 )
 from .simulate import DataSet
+
+
+REFLECT_CLAMP = 0.999  # largest |root| that reflect_unstable leaves
 
 
 class RankDeficientError(np.linalg.LinAlgError):
@@ -84,15 +88,20 @@ class ThetaEstimate:
     orders: ModelOrders
     n_used: int
     iterations: int
-    pem_cost: float
+    pem_cost: float = math.nan  # until wnsf_identify evaluates it
     step2_theta: Optional[np.ndarray] = None
-    stable_noise_model: bool = True
     reflected: bool = False
     trace: List[dict] = field(default_factory=list)
 
     @property
     def model(self) -> BjModel:
         return self.orders.model(self.theta)
+
+    @property
+    def stable_noise_model(self) -> bool:
+        """Whether C and D are both stable (H and 1/H stable)."""
+        model = self.model
+        return is_stable(model.C)[0] and is_stable(model.D)[0]
 
     def to_json(self):
         return {
@@ -115,12 +124,14 @@ class WnsfOptions:
     n_grid: Sequence[int] = (50, 100, 150, 200, 250, 300)
     max_iter: int = 100
     tol: float = 1e-4
-    delta_reg: float = 1e-6
+    delta_reg: float = DELTA_REG_DEFAULT
     known_zero_ic: bool = False
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and > 0")
+        if not 0 < self.delta_reg < math.inf:
+            raise ValueError("delta_reg must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if len(self.n_grid) == 0:
@@ -167,12 +178,11 @@ def build_T(theta: np.ndarray, n: int, orders: ModelOrders) -> np.ndarray:
     return T
 
 
-def apply_T_inverse(theta: np.ndarray, X: np.ndarray,
-                    orders: ModelOrders) -> np.ndarray:
-    """T(theta)^-1 X for X with 2n rows, by forward substitution: each column
-    is filtered with zero initial conditions, Z_a = X_a / C and
+def apply_T_inverse(model: BjModel, X: np.ndarray) -> np.ndarray:
+    """T^-1 X for X with 2n rows, T built from the C, L and F of ``model``,
+    whose C and F the caller has found stable.  By forward substitution: each
+    column is filtered with zero initial conditions, Z_a = X_a / C and
     Z_b = (X_b + L Z_a) / F."""
-    model = orders.model(theta)
     n = len(X) // 2
     # filter_signal runs along the last axis; the columns of X are signals
     z_a = filter_signal(RationalFilter(ONE, model.C), X[:n].T)
@@ -183,7 +193,7 @@ def apply_T_inverse(theta: np.ndarray, X: np.ndarray,
 
 def build_T_inverse(theta: np.ndarray, n: int, orders: ModelOrders) -> np.ndarray:
     """Dense T^-1, ``apply_T_inverse`` on the identity, for the tests."""
-    return apply_T_inverse(theta, np.eye(2 * n), orders)
+    return apply_T_inverse(orders.model(theta), np.eye(2 * n))
 
 
 def _solve_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,7 +216,7 @@ def step2_ls(arx: ArxEstimate, orders: ModelOrders) -> ThetaEstimate:
         theta = _solve_ls(Q[arx.n:, :], arx.b)
     else:
         theta = _solve_ls(Q, arx.eta)
-    return _make_estimate(theta, arx, orders, iterations=0)
+    return ThetaEstimate(theta, orders, n_used=arx.n, iterations=0)
 
 
 def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
@@ -217,11 +227,11 @@ def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
     problem is the plain least squares of (G T^-1 Q, G T^-1 eta), and T^-1
     is applied to [Q | eta] in one filtering pass.
     """
-    _require_stable_weighting(theta_prev, orders)
+    model = _weighting_model(theta_prev, orders)
     X = np.column_stack([build_Q(arx.eta, orders), arx.eta])
-    GZ = arx.R_chol @ apply_T_inverse(theta_prev, X, orders)
+    GZ = arx.R_chol @ apply_T_inverse(model, X)
     theta = _solve_ls(GZ[:, :-1], GZ[:, -1])
-    return _make_estimate(theta, arx, orders, iterations=1)
+    return ThetaEstimate(theta, orders, n_used=arx.n, iterations=1)
 
 
 def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
@@ -230,10 +240,9 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
     weighting is (Tbar R^-1 Tbar^T)^-1 with Tbar = [-Tl  Tf]."""
     if not orders.is_oe:
         raise ValueError("OE step requires m_c = m_d = 0")
-    _require_stable_weighting(theta_prev, orders)
+    model = _weighting_model(theta_prev, orders)
     n = arx.n
     Q2 = build_Q(arx.eta, orders)[n:, :]
-    model = orders.model(theta_prev)
     t_bar = np.hstack(
         [-toeplitz_matrix(model.L, n, n), toeplitz_matrix(model.F, n, n)]
     )
@@ -245,45 +254,37 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
     A = solve_triangular(Ls, Q2, lower=True)
     b = solve_triangular(Ls, arx.b, lower=True)
     theta = _solve_ls(A, b)
-    return _make_estimate(theta, arx, orders, iterations=1)
+    return ThetaEstimate(theta, orders, n_used=arx.n, iterations=1)
 
 
-def _require_stable_weighting(theta: np.ndarray, orders: ModelOrders):
+def _weighting_model(theta: np.ndarray, orders: ModelOrders) -> BjModel:
+    """The model step 3 weights with; its F and C must be stable."""
     model = orders.model(theta)
     if not (is_stable(model.F)[0] and is_stable(model.C)[0]):
         raise ValueError(
             "unstable weighting parameters; reflect the roots before step 3"
         )
+    return model
 
 
-def _make_estimate(theta, arx, orders, iterations) -> ThetaEstimate:
-    model = orders.model(theta)
-    stable_noise = is_stable(model.C)[0] and is_stable(model.D)[0]
-    return ThetaEstimate(
-        theta=theta, orders=orders, n_used=arx.n, iterations=iterations,
-        pem_cost=math.nan, stable_noise_model=stable_noise,
-    )
-
-
-def reflect_unstable(theta: np.ndarray, orders: ModelOrders,
-                     clamp: float = 0.999):
-    """Reflect roots of F and C that ``is_stable`` rejects (|z| >= 1 - TOL_STAB)
-    to 1/conj(root), clamped to the given magnitude.  Returns (theta,
-    changed)."""
+def reflect_unstable(theta: np.ndarray, orders: ModelOrders):
+    """Reflect the roots of F and C that ``is_stable`` rejects
+    (|z| >= 1 - TOL_STAB) to 1/conj(root), clamped to magnitude
+    ``REFLECT_CLAMP``.  Returns (theta, changed)."""
     model = orders.model(theta)
     changed = False
 
     def fix(poly: Polynomial) -> Polynomial:
         nonlocal changed
-        if is_stable(poly)[0]:
+        stable, out = is_stable(poly)
+        if stable:
             return poly
         changed = True
-        out = np.roots(poly.coeffs)
         bad = np.abs(out) >= 1.0 - TOL_STAB
         out[bad] = 1.0 / np.conj(out[bad])
         mags = np.abs(out)
-        shrink = mags > clamp
-        out[shrink] *= clamp / mags[shrink]
+        shrink = mags > REFLECT_CLAMP
+        out[shrink] *= REFLECT_CLAMP / mags[shrink]
         return Polynomial(np.real(np.poly(out)))
 
     f_new = fix(model.F)

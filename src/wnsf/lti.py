@@ -74,27 +74,17 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
-def poly_roots(p: Polynomial) -> np.ndarray:
-    """Roots of the forward-variable polynomial z^m X(z^-1).
+def is_stable(p: Polynomial):
+    """Whether all roots of a monic polynomial lie inside |z| < 1 - TOL_STAB.
 
-    Uses the balanced companion-matrix eigenvalues (np.roots).
-    """
-    c = np.trim_zeros(p.coeffs, "b")
-    if len(c) <= 1:
-        return np.array([])
-    return np.roots(c)
-
-
-def is_stable(p: Polynomial, tol: float = TOL_STAB):
-    """Whether all roots of a monic polynomial lie strictly inside the unit circle.
-
-    Returns ``(stable, roots)``.
+    Returns ``(stable, roots)``, the m = ``p.degree`` roots of z^m X(z^-1)
+    (np.roots); each trailing zero coefficient is a root at 0, which no
+    verdict depends on.  The package's only root finder.
     """
     if not p.is_monic:
         raise ValueError("stability test requires a monic polynomial")
-    roots = poly_roots(p)
-    stable = bool(np.all(np.abs(roots) < 1.0 - tol)) if roots.size else True
-    return stable, roots
+    roots = np.roots(p.coeffs)
+    return bool(np.all(np.abs(roots) < 1.0 - TOL_STAB)), roots
 
 
 def toeplitz_matrix(p: Polynomial, n: int, m: int) -> np.ndarray:

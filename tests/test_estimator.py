@@ -11,6 +11,7 @@ from wnsf.estimator import (
     IdentificationError,
     ModelOrders,
     RankDeficientError,
+    ThetaEstimate,
     WnsfOptions,
     apply_T_inverse,
     build_Q,
@@ -23,7 +24,7 @@ from wnsf.estimator import (
     step3_wls_oe,
     wnsf_identify,
 )
-from wnsf.lti import BjModel, Polynomial
+from wnsf.lti import BjModel, Polynomial, is_stable
 from wnsf.simulate import DataSet, LoopConfig, generate
 
 from conftest import random_stable_theta
@@ -151,7 +152,7 @@ class TestApplyTInverse:
         X = rng.standard_normal(2 * n if cols is None else (2 * n, cols))
         want = solve_triangular(build_T(theta, n, orders), X, lower=True,
                                 unit_diagonal=True)
-        got = apply_T_inverse(theta, X, orders)
+        got = apply_T_inverse(orders.model(theta), X)
         assert got.shape == X.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -270,6 +271,15 @@ class TestReflection:
         assert changed
         assert abs(new[0]) <= 0.999 + 1e-12
 
+    def test_trailing_zero_keeps_structural_order(self):
+        # F = 1 - 2.5 q^-1 + 0 q^-2 has roots 2.5 and 0; only 2.5 moves
+        orders = ModelOrders(2, 1)
+        new, changed = reflect_unstable(np.array([-2.5, 0.0, 1.0]), orders)
+        assert changed
+        assert new.shape == (3,)
+        assert new[:2] == pytest.approx([-0.4, 0.0], abs=1e-15)
+        assert new[2] == 1.0
+
 
 class TestPemCost:
     def test_zero_on_noise_free_truth(self, bench_system):
@@ -354,6 +364,72 @@ class TestIdentify:
         assert isinstance(model, BjModel)
 
 
+class TestStableNoiseModel:
+    @pytest.mark.parametrize("index, value, stable", [
+        (4, 0.7, True),    # the benchmark's C and D
+        (4, 1.5, False),   # C root at -1.5
+        (5, -1.5, False),  # D root at 1.5
+    ])
+    def test_read_from_theta(self, bench_system, index, value, stable):
+        theta = bench_system.theta.copy()
+        theta[index] = value
+        est = ThetaEstimate(theta=theta, orders=BJ_ORDERS, n_used=50,
+                            iterations=1, pem_cost=1.0)
+        assert est.stable_noise_model is stable
+        assert est.to_json()["stable_noise_model"] is stable
+
+
+@st.composite
+def _identify_cases(draw):
+    m_f, m_l = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    noise = draw(st.booleans())
+    m_c = draw(st.integers(1, 2)) if noise else 0
+    m_d = draw(st.integers(1, 2)) if noise else 0
+    n_grid = draw(st.sampled_from([(20,), (20, 30)]))
+    max_iter = draw(st.integers(1, 4))
+    # poles near the circle, short records and loud noise make unstable
+    # iterates, reflection and infeasible candidates less rare
+    radius = draw(st.floats(0.5, 0.99))
+    N, noise_std = draw(st.sampled_from([150, 400])), draw(
+        st.sampled_from([0.5, 2.0]))
+    return (ModelOrders(m_f, m_l, m_c, m_d), n_grid, max_iter, radius, N,
+            noise_std, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestIdentifyInvariants:
+    """Whatever the system and the noise, the selected estimate and every
+    feasible candidate have a stable predictor."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(_identify_cases())
+    # the one step-3 iterate has an F root at 1.03: no candidate is feasible
+    @example((ModelOrders(2, 1, 1, 1), (20,), 1, 0.9, 400, 0.5, 249))
+    # three infeasible iterates, then a feasible one weighted with reflected
+    # roots, which is selected
+    @example((ModelOrders(2, 2, 1, 1), (20,), 4, 0.95, 150, 2.0, 76))
+    def test_selected_and_feasible_candidates_stable(self, case):
+        orders, n_grid, max_iter, radius, N, noise_std, seed = case
+        rng = np.random.default_rng(seed)
+        theta0 = random_stable_theta(rng, orders.m_f, orders.m_l,
+                                     orders.m_c, orders.m_d, radius)
+        data = generate(LoopConfig(system=orders.model(theta0), N=N,
+                                   noise_std=noise_std, seed=seed))
+        try:
+            est = wnsf_identify(data, orders, WnsfOptions(n_grid=n_grid,
+                                                          max_iter=max_iter))
+        except IdentificationError:
+            return  # every candidate had an unstable predictor
+        model = est.model
+        assert math.isfinite(est.pem_cost)
+        assert is_stable(model.F)[0] and is_stable(model.C)[0]
+        assert est.stable_noise_model == (is_stable(model.C)[0]
+                                          and is_stable(model.D)[0])
+        for entry in est.trace:
+            if math.isfinite(entry["pem_cost"]):
+                cand = orders.model(entry["theta"])
+                assert is_stable(cand.F)[0] and is_stable(cand.C)[0]
+
+
 class TestOptions:
     @pytest.mark.parametrize("n_grid", [(0,), (50, -1)])
     def test_grid_entries_below_one_rejected(self, n_grid):
@@ -366,3 +442,9 @@ class TestOptions:
         # a NaN tol never stopped the iteration; an infinite one always did
         with pytest.raises(ValueError, match="tol"):
             WnsfOptions(tol=tol)
+
+    @pytest.mark.parametrize("delta_reg", [-1.0, 0.0, math.nan, math.inf])
+    def test_delta_reg_outside_open_interval_rejected(self, delta_reg):
+        # -1 and 0 used to return an estimate; NaN and inf failed every n
+        with pytest.raises(ValueError, match="delta_reg"):
+            WnsfOptions(delta_reg=delta_reg)

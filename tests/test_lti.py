@@ -12,7 +12,6 @@ from wnsf.lti import (
     impulse_response,
     is_stable,
     poly_mul,
-    poly_roots,
     toeplitz_matrix,
 )
 
@@ -109,7 +108,7 @@ class TestImpulseResponse:
 
     def test_geometric_tail_decay(self, bench_system):
         g = impulse_response(bench_system.G, 512)
-        rho = max(np.abs(poly_roots(bench_system.F)))
+        rho = max(np.abs(is_stable(bench_system.F)[1]))
         blocks = g.reshape(8, 64)
         sums = np.sum(np.abs(blocks), axis=1)
         for k in range(1, 8):
@@ -134,6 +133,12 @@ class TestStability:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             is_stable(Polynomial([2.0, 1.0]))
+
+    def test_trailing_zero_is_a_root_at_origin(self):
+        # z^2 - 0.5 z: the zero coefficient adds a root at 0, inside the circle
+        stable, roots = is_stable(Polynomial([1.0, -0.5, 0.0]))
+        assert stable
+        assert np.allclose(np.sort(np.abs(roots)), [0.0, 0.5])
 
     def test_agrees_with_explicit_roots(self):
         rng = np.random.default_rng(7)
