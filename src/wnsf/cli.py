@@ -1,10 +1,14 @@
 """Command-line front end: simulate datasets, identify models, run Monte
 Carlo campaigns, and compute asymptotic covariance bounds.
 
-Experiments are described by a JSON config file validated against a strict
-schema (unknown keys are rejected).  Every command that writes results also
-writes an echo of the effective configuration alongside, so each artifact is
-self-describing.
+Experiments are JSON configs validated against a strict schema (unknown
+keys are rejected); ``simulate`` and ``montecarlo`` write an echo of the
+effective configuration beside their outputs.  ``FLAG_KEYS`` maps each flag
+that sets a config key to that key (``--seed``: ``experiment.seed``; the
+``identify`` flags: ``wnsf.*``; ``--kind``, ``--grid-size``, ``--n``:
+``crb.*``).  ``with_flags`` writes the flags given, each checked by its
+key's schema rule, into a copy of the config (for ``identify``, an empty
+one), and every command then reads only that document.
 
 Exit codes: 0 success, 2 config error, 3 simulation infeasible,
 4 identification failed, 5 bound computation failed.
@@ -33,7 +37,7 @@ from .crb import (
     mbar_limit,
 )
 from .estimator import IdentificationError, ModelOrders, WnsfOptions, wnsf_identify
-from .lti import BjModel, Polynomial, RationalFilter
+from .lti import BjModel, RationalFilter
 from .metrics import McExperiment, run_monte_carlo
 from .simulate import LOOP_KINDS, DataSet, LoopConfig, UnstableLoopError, generate
 
@@ -75,6 +79,8 @@ CONFIG_SCHEMA = {
                 "den": _COEFFS,
                 "gain": {"type": "number"},
             },
+            # a denominator alone has no numerator to divide
+            "dependentRequired": {"den": ["num"]},
         },
         "noise": {
             "type": "object",
@@ -150,8 +156,7 @@ def _field_path(err: jsonschema.ValidationError) -> str:
     path = [str(p) for p in err.absolute_path]
     if err.validator == "required":
         # point at the missing field itself, not just its parent object
-        missing = err.message.split("'")[1]
-        path.append(missing)
+        path.append(err.message.split("'")[1])
     return ".".join(path) or "(root)"
 
 
@@ -163,8 +168,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    validator = _Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(doc),
+                    key=lambda e: list(e.absolute_path))
     if errors:
         lines = [f"{_field_path(e)}: {e.message}" for e in errors]
         raise ConfigError("invalid config:\n  " + "\n  ".join(lines))
@@ -177,105 +182,118 @@ def _rule(section: str, key: str) -> dict:
 
 
 def _check_flag(flag: str, value, rule: dict):
-    """``value`` if it obeys ``rule``, the schema rule of the config key that
-    the flag sets; a flag that was not given (None) passes."""
-    if value is not None:
-        error = jsonschema.exceptions.best_match(
-            _Validator(rule).iter_errors(value))
-        if error is not None:
-            raise ConfigError(f"{flag}: {error.message}")
+    """``value`` if it obeys ``rule``, else a config error naming ``flag``."""
+    error = jsonschema.exceptions.best_match(_Validator(rule).iter_errors(value))
+    if error is not None:
+        raise ConfigError(f"{flag}: {error.message}")
     return value
 
 
-def _poly(coeffs) -> Polynomial:
-    return Polynomial(np.asarray(coeffs, dtype=float))
+def _int_list(text: str) -> list:
+    return [int(p) for p in text.split(",")]
 
 
-def _filter_from(section, default: RationalFilter) -> RationalFilter:
-    if section is None:
-        return default
-    num = _poly(section["num"])
-    den = _poly(section.get("den", [1.0]))
-    return RationalFilter(num, den)
+def _n_grid_list(text: str) -> list:
+    if ":" not in text:
+        return _int_list(text)
+    start, stop, *step = [int(p) for p in text.split(":")]
+    if len(step) > 1 or min(step, default=1) < 1 or stop < start:
+        raise ValueError("expected start:stop[:step], stop >= start, step >= 1")
+    return list(range(start, stop + 1, *step))
 
 
-def loop_config_from(doc: dict, seed_override=None) -> LoopConfig:
-    sys_sec = doc["system"]
+# flag -> (section, key) of the config key it overrides (argparse stores the
+# flag under the key's name), and the reader of its text (None: argparse's)
+FLAG_KEYS = {
+    "--seed": ("experiment", "seed", None),
+    "--orders": ("wnsf", "orders", _int_list),
+    "--n-grid": ("wnsf", "n_grid", _n_grid_list),
+    "--max-iter": ("wnsf", "max_iter", None),
+    "--tol": ("wnsf", "tol", None),
+    "--known-zero-ic": ("wnsf", "known_zero_ic", None),
+    "--kind": ("crb", "kind", None),
+    "--grid-size": ("crb", "grid_size", None),
+    "--n": ("crb", "n", None),
+}
+
+
+def _flag_value(flag: str, value):
+    """The value of ``flag``, read from its text and checked by the schema
+    rule of the config key it sets."""
+    section, key, read = FLAG_KEYS[flag]
     try:
-        system = BjModel(
-            L=_poly(sys_sec["L"]),
-            F=_poly(sys_sec["F"]),
-            C=_poly(sys_sec.get("C", [1.0])),
-            D=_poly(sys_sec.get("D", [1.0])),
-        )
-        controller = _filter_from(
-            doc.get("controller"), RationalFilter(_poly([0.0]))
-        )
-        reference = _filter_from(doc.get("reference"), RationalFilter(_poly([1.0])))
+        value = value if read is None else read(value)
     except ValueError as exc:
-        raise ConfigError(str(exc))
-    ref_sec = doc.get("reference") or {}
-    noise = doc.get("noise") or {}
-    exp = doc["experiment"]
-    seed = exp.get("seed", 0) if seed_override is None else seed_override
+        raise ConfigError(f"{flag}: {exc}")
+    return _check_flag(flag, value, _rule(section, key))
+
+
+def with_flags(doc: dict, args) -> dict:
+    """A copy of ``doc`` with each flag given in ``args`` written over the
+    config key it sets; ``doc`` stays as read."""
+    doc = {section: dict(body) for section, body in doc.items()}
+    for flag, (section, key, _) in FLAG_KEYS.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            doc.setdefault(section, {})[key] = _flag_value(flag, value)
+    return doc
+
+
+def _from_json(section: str, cls, body):
     try:
-        return LoopConfig(
-            system=system,
-            controller=controller,
-            reference_filter=reference,
-            reference_gain=float(ref_sec.get("gain", 1.0)),
-            noise_std=float(noise.get("std", 1.0)),
-            N=int(exp["N"]),
-            seed=int(seed),
-            loop_kind=exp.get("loop_kind", "closed"),
-            snr_target=noise.get("snr_target"),
-        )
+        return cls.from_json(body)
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"{section}: {exc}")
+
+
+# (section, key) -> the LoopConfig field it sets and that field's type;
+# integer keys may be written as integral numbers (1e4)
+_LOOP_FIELDS = {
+    ("experiment", "N"): ("N", int),
+    ("experiment", "seed"): ("seed", int),
+    ("experiment", "loop_kind"): ("loop_kind", str),
+    ("reference", "gain"): ("reference_gain", float),
+    ("noise", "std"): ("noise_std", float),
+    ("noise", "snr_target"): ("snr_target", float),
+}
+
+
+def loop_config_from(doc: dict) -> LoopConfig:
+    """The loop of a validated config; a key it leaves out keeps the
+    ``LoopConfig`` default."""
+    kwargs = {name: read(doc[section][key])
+              for (section, key), (name, read) in _LOOP_FIELDS.items()
+              if key in doc.get(section, {})}
+    kwargs["system"] = _from_json("system", BjModel, doc["system"])
+    if "controller" in doc:
+        kwargs["controller"] = _from_json("controller", RationalFilter,
+                                          doc["controller"])
+    if "num" in doc.get("reference", {}):
+        kwargs["reference_filter"] = _from_json("reference", RationalFilter,
+                                                doc["reference"])
+    return LoopConfig(**kwargs)
 
 
 def wnsf_settings_from(doc: dict):
     sec = doc.get("wnsf")
     if sec is None:
         raise ConfigError("wnsf: section is required for this command")
-    orders = ModelOrders(*sec["orders"])
-    kwargs = {}
-    for key in ("n_grid", "max_iter", "tol", "delta_reg", "known_zero_ic"):
-        if key in sec:
-            kwargs[key] = tuple(sec[key]) if key == "n_grid" else sec[key]
-    return orders, WnsfOptions(**kwargs)
+    # integer keys may be written as integral numbers (20.0)
+    read = {"n_grid": lambda grid: tuple(map(int, grid)), "max_iter": int}
+    options = {key: read.get(key, lambda v: v)(value)
+               for key, value in sec.items() if key != "orders"}
+    return ModelOrders(*map(int, sec["orders"])), WnsfOptions(**options)
 
 
 def parse_orders(text: str) -> ModelOrders:
     """'m_f,m_l,m_c,m_d', checked by the rule of ``wnsf.orders``."""
-    try:
-        orders = [int(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--orders: {exc}")
-    _check_flag("--orders", orders, _rule("wnsf", "orders"))
-    return ModelOrders(*orders)
+    return ModelOrders(*_flag_value("--orders", text))
 
 
 def parse_n_grid(text: str):
-    """Either a comma list '50,100,150' or a range 'start:stop:step'
+    """Either a comma list '50,100,150' or a range 'start:stop[:step]'
     (stop inclusive); checked by the rule of ``wnsf.n_grid``."""
-    try:
-        if ":" in text:
-            parts = [int(p) for p in text.split(":")]
-            if len(parts) == 2:
-                start, stop, step = parts[0], parts[1], 1
-            elif len(parts) == 3:
-                start, stop, step = parts
-            else:
-                raise ValueError("expected start:stop[:step]")
-            if step < 1 or stop < start:
-                raise ValueError("need stop >= start and step >= 1")
-            grid = list(range(start, stop + 1, step))
-        else:
-            grid = [int(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--n-grid: {exc}")
-    return tuple(_check_flag("--n-grid", grid, _rule("wnsf", "n_grid")))
+    return tuple(_flag_value("--n-grid", text))
 
 
 @contextlib.contextmanager
@@ -289,7 +307,8 @@ def _writing(flag: str):
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    """Write ``payload`` to the file ``path``, or to stdout if it is None."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -298,25 +317,30 @@ def _echo_config(doc: dict, cfg: LoopConfig, data: DataSet, path):
     """Write the config with the values used to generate ``data`` (for a
     campaign, the base-seed record).  Its noise level is the one ``generate``
     chose, which differs from cfg.noise_std under snr_target."""
-    effective = dict(doc)
-    effective["effective"] = {
+    _write_json(path, dict(doc, effective={
         "seed": cfg.seed,
         "noise_std": data.noise_std,
         "loop_kind": cfg.loop_kind,
         "N": cfg.N,
-    }
-    _write_json(path, effective)
+    }))
+
+
+def _generate(cfg: LoopConfig):
+    """``generate(cfg)``, or None once the reason it failed is reported: an
+    unstable loop, a silent noise path under snr_target, or a record that
+    overflows (a signal that is not finite)."""
+    try:
+        return generate(cfg)
+    except (UnstableLoopError, ZeroDivisionError, ValueError) as exc:
+        print(f"error: simulation infeasible: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_simulate(args) -> int:
     doc = load_config(args.config)
-    seed = _check_flag("--seed", args.seed, _rule("experiment", "seed"))
-    cfg = loop_config_from(doc, seed_override=seed)
-    try:
-        data = generate(cfg)
-    except (UnstableLoopError, ZeroDivisionError) as exc:
-        log.error("simulation infeasible: %s", exc)
-        print(f"error: simulation infeasible: {exc}", file=sys.stderr)
+    cfg = loop_config_from(with_flags(doc, args))
+    data = _generate(cfg)
+    if data is None:
         return EXIT_SIMULATION
     if not args.with_noise:
         data = replace(data, e=None)
@@ -328,16 +352,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    orders = parse_orders(args.orders)
-    kwargs = {"known_zero_ic": args.known_zero_ic}
-    if args.n_grid is not None:
-        kwargs["n_grid"] = parse_n_grid(args.n_grid)
-    if args.max_iter is not None:
-        kwargs["max_iter"] = _check_flag("--max-iter", args.max_iter,
-                                         _rule("wnsf", "max_iter"))
-    if args.tol is not None:
-        kwargs["tol"] = _check_flag("--tol", args.tol, _rule("wnsf", "tol"))
-    options = WnsfOptions(**kwargs)
+    orders, options = wnsf_settings_from(with_flags({}, args))
     try:
         data = DataSet.from_csv(args.data)
     except (OSError, KeyError, ValueError) as exc:
@@ -349,13 +364,8 @@ def cmd_identify(args) -> int:
         for n, reason in sorted(exc.diagnostics.items()):
             print(f"  n={n}: {reason}", file=sys.stderr)
         return EXIT_IDENTIFICATION
-    payload = est.to_json()
-    if args.out:
-        with _writing("--out"):
-            _write_json(args.out, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    with _writing("--out"):
+        _write_json(args.out, est.to_json())
     return EXIT_OK
 
 
@@ -366,10 +376,8 @@ def cmd_montecarlo(args) -> int:
     doc = load_config(args.config)
     cfg = loop_config_from(doc)
     orders, options = wnsf_settings_from(doc)
-    try:
-        base = generate(cfg)  # fail fast on an infeasible loop
-    except (UnstableLoopError, ZeroDivisionError) as exc:
-        print(f"error: simulation infeasible: {exc}", file=sys.stderr)
+    base = _generate(cfg)  # fail fast on an infeasible loop
+    if base is None:
         return EXIT_SIMULATION
     exp = McExperiment(loop=cfg, orders=orders, options=options,
                        base_seed=cfg.seed)
@@ -385,31 +393,24 @@ def cmd_montecarlo(args) -> int:
     if result.failures == len(result.runs):
         print("error: every Monte Carlo run failed", file=sys.stderr)
         return EXIT_IDENTIFICATION
-    json.dump(agg, sys.stdout, indent=2, sort_keys=True)
-    print()
+    _write_json(None, agg)
     return EXIT_OK
 
 
 def cmd_crb(args) -> int:
-    doc = load_config(args.config)
+    doc = with_flags(load_config(args.config), args)
     cfg = loop_config_from(doc)
-    crb_sec = doc.get("crb") or {}
-
-    def setting(flag, key, default):
-        value = _check_flag(flag, getattr(args, key), _rule("crb", key))
-        return crb_sec.get(key, default) if value is None else value
-
-    kind = setting("--kind", "kind", "full")
-    grid = setting("--grid-size", "grid_size", GRID_SIZE_DEFAULT)
-    n = setting("--n", "n", 200)
+    sec = doc.get("crb", {})
+    kind = sec.get("kind", "full")
+    grid = int(sec.get("grid_size", GRID_SIZE_DEFAULT))
+    n = int(sec.get("n", 200))
     try:
         sm = SpectrumModel.from_loop_config(cfg)
     except ValueError as exc:
         raise ConfigError(f"noise.snr_target: {exc}")
     try:
         if kind == "full":
-            res = compute_mcr(sm, grid_size=grid)
-            payload = res.to_json()
+            payload = compute_mcr(sm, grid_size=grid).to_json()
         elif kind == "reference_only":
             M = compute_mcl(sm, grid_size=grid)
             payload = {"M": M.tolist(), "grid_size": grid, "kind": kind}
@@ -422,12 +423,8 @@ def cmd_crb(args) -> int:
         print(f"error: bound computation failed ({where}): {exc}",
               file=sys.stderr)
         return EXIT_BOUND
-    if args.out:
-        with _writing("--out"):
-            _write_json(args.out, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    with _writing("--out"):
+        _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -441,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate an input/output dataset")
     p.add_argument("config", help="JSON experiment config")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed")
+    p.add_argument("--seed", type=int, help="override experiment.seed")
     p.add_argument("--with-noise", action="store_true",
                    help="include the realized noise column e in the CSV")
     p.set_defaults(func=cmd_simulate)
@@ -456,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int,
                    help=f"default {WnsfOptions.max_iter}")
     p.add_argument("--tol", type=float, help=f"default {WnsfOptions.tol}")
-    p.add_argument("--known-zero-ic", action="store_true",
+    p.add_argument("--known-zero-ic", action="store_true", default=None,
                    help="data starts from zero initial conditions")
     p.add_argument("--out", default=None, help="write the estimate JSON here")
     p.set_defaults(func=cmd_identify)
@@ -470,10 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crb", help="compute the asymptotic covariance bound")
     p.add_argument("config", help="JSON experiment config")
-    p.add_argument("--grid-size", type=int, default=None)
-    p.add_argument("--kind", default=None,
-                   help=", ".join(_rule("crb", "kind")["enum"]))
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--grid-size", type=int)
+    p.add_argument("--kind", help=", ".join(_rule("crb", "kind")["enum"]))
+    p.add_argument("--n", type=int,
                    help="truncation order for the finite-order bound")
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.set_defaults(func=cmd_crb)

@@ -354,6 +354,8 @@ def wnsf_identify(data: DataSet, orders: ModelOrders,
     feasible = [c for c in candidates if math.isfinite(c.pem_cost)]
     selectable = [c for c in feasible if not c.reflected] or feasible
     if not selectable:
+        for c in candidates:  # none has a finite pem_cost: F or C unstable
+            failures.setdefault(c.n_used, "no iterate with a stable predictor")
         raise IdentificationError(
             "no feasible WNSF candidate on the given n grid",
             diagnostics=failures,

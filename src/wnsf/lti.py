@@ -117,7 +117,8 @@ class RationalFilter:
 
     @classmethod
     def from_json(cls, data) -> "RationalFilter":
-        return cls(Polynomial.from_json(data["num"]), Polynomial.from_json(data["den"]))
+        return cls(Polynomial.from_json(data["num"]),
+                   Polynomial.from_json(data.get("den", [1.0])))
 
 
 CONST_ONE = RationalFilter(ONE, ONE)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from wnsf import BjModel, LoopConfig, Polynomial, RationalFilter
+from wnsf import (
+    BjModel,
+    LoopConfig,
+    ModelOrders,
+    Polynomial,
+    RationalFilter,
+    WnsfOptions,
+    generate,
+)
 
 # one line per acceptance criterion, echoed in the terminal summary where
 # output capture cannot swallow it
@@ -77,3 +85,13 @@ def random_stable_theta(rng: np.random.Generator, m_f, m_l, m_c, m_d,
     d = stable_poly(m_d)
     l = rng.standard_normal(m_l)
     return np.concatenate([f[1:], l, c[1:], d[1:]])
+
+
+def unstable_predictor_record():
+    """A record, orders and options under which the one step-3 iterate at
+    n = 20 has an F root at 1.03, so no candidate is feasible."""
+    orders = ModelOrders(2, 1, 1, 1)
+    theta0 = random_stable_theta(np.random.default_rng(249), 2, 1, 1, 1, 0.9)
+    data = generate(LoopConfig(system=orders.model(theta0), N=400,
+                               noise_std=0.5, seed=249))
+    return data, orders, WnsfOptions(n_grid=(20,), max_iter=1)

@@ -1,8 +1,12 @@
+import argparse
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wnsf.cli import (
     EXIT_BOUND,
@@ -15,12 +19,15 @@ from wnsf.cli import (
     main,
     parse_n_grid,
     parse_orders,
+    with_flags,
 )
 from wnsf.crb import SpectrumModel, compute_mcr
 from wnsf.estimator import ModelOrders
 from wnsf.lti import BjModel
 from wnsf.metrics import fit_of_models
 from wnsf.simulate import DataSet, LoopConfig, generate
+
+from conftest import unstable_predictor_record
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -214,6 +221,32 @@ BAD_INPUTS = {
                              "{tmp}/x.csv"], EXIT_CONFIG, "noise.std"),
     "config_gain_minus_infinity": (["crb", "{gain_minus_inf}"], EXIT_CONFIG,
                                    "reference.gain"),
+    # the model classes check what the schema cannot
+    "config_f_not_monic": (["simulate", "{f_not_monic}", "--out",
+                            "{tmp}/x.csv"], EXIT_CONFIG, "F must be monic"),
+    "config_l_constant_term": (["crb", "{l_constant}"], EXIT_CONFIG,
+                               "L must have zero constant term"),
+    "config_controller_den_not_monic": (
+        ["montecarlo", "{k_den}", "--runs", "1", "--out-dir", "{tmp}/mc"],
+        EXIT_CONFIG, "controller: denominator must be monic"),
+    # a denominator alone used to end in KeyError: 'num'
+    "config_reference_den_without_num": (["simulate", "{ref_den}", "--out",
+                                          "{tmp}/x.csv"], EXIT_CONFIG,
+                                         "'num' is a dependency of 'den'"),
+    # unstable D or reference filter: the 3000-sample record overflows, and
+    # DataSet's ValueError used to escape as a traceback
+    "simulate_noise_model_overflows": (["simulate", "{d_overflow}", "--out",
+                                        "{tmp}/x.csv"], EXIT_SIMULATION,
+                                       "non-finite values in u"),
+    "simulate_reference_overflows": (["simulate", "{r_overflow}", "--out",
+                                      "{tmp}/x.csv"], EXIT_SIMULATION,
+                                     "non-finite values in r"),
+    "montecarlo_noise_model_overflows": (
+        ["montecarlo", "{d_overflow}", "--runs", "1", "--out-dir",
+         "{tmp}/mc"], EXIT_SIMULATION, "non-finite values in u"),
+    "montecarlo_reference_overflows": (
+        ["montecarlo", "{r_overflow}", "--runs", "1", "--out-dir",
+         "{tmp}/mc"], EXIT_SIMULATION, "non-finite values in r"),
 }
 
 
@@ -230,6 +263,14 @@ def bad_input_paths(tmp_path):
         "std_nan": {"noise": {"std": float("nan")}},
         "std_inf": {"noise": {"std": float("inf")}},
         "gain_minus_inf": {"reference": {"gain": float("-inf")}},
+        "f_not_monic": {"system": dict(doc["system"], F=[2.0, -0.5])},
+        "l_constant": {"system": dict(doc["system"], L=[1.0, 1.0])},
+        "k_den": {"controller": {"num": [1.0], "den": [0.5]}},
+        "ref_den": {"reference": {"den": [1.0, -0.5]}},
+        "d_overflow": {"system": dict(doc["system"], D=[1.0, -1.5]),
+                       "experiment": dict(doc["experiment"], N=3000)},
+        "r_overflow": {"reference": {"num": [1.0], "den": [1.0, -1.5]},
+                       "experiment": dict(doc["experiment"], N=3000)},
     }
     paths = {"tmp": str(tmp_path), "cfg": _write_config(tmp_path, doc)}
     for name, change in variants.items():
@@ -317,6 +358,18 @@ class TestIdentifyCommand:
                        in capsys.readouterr().err.splitlines()[1:])
         assert sorted(reasons) == sorted(f"n={n}" for n in range(50, 301, 50))
         assert all("N >= 2n + 1" in reason for reason in reasons.values())
+
+    def test_unstable_predictor_names_n(self, tmp_path, capsys):
+        # every candidate had pem_cost = inf; the command used to print
+        # "identification failed" without an n= line
+        data, _, _ = unstable_predictor_record()
+        data.to_csv(tmp_path / "d.csv")
+        code = main(["identify", "--data", str(tmp_path / "d.csv"),
+                     "--orders", "2,1,1,1", "--n-grid", "20",
+                     "--max-iter", "1"])
+        assert code == EXIT_IDENTIFICATION
+        err = capsys.readouterr().err
+        assert "n=20: no iterate with a stable predictor" in err
 
     def test_unreadable_data(self, tmp_path, capsys):
         code = main(["identify", "--data", str(tmp_path / "missing.csv"),
@@ -410,3 +463,193 @@ class TestCrbCommand:
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         assert len(doc["M"]) == 6
+
+
+class TestConfigReading:
+    def test_gain_only_reference(self, tmp_path, capsys):
+        # a reference section without num used to end in KeyError: 'num'
+        doc = json.loads(json.dumps(BENCH_CONFIG))
+        doc["experiment"]["N"] = 300
+        runs = {}
+        for name, ref in (("gain", {"gain": 2.0}),
+                          ("unit", {"num": [1.0], "gain": 2.0}),
+                          ("none", None)):
+            doc.pop("reference", None)
+            if ref is not None:
+                doc["reference"] = ref
+            cfg = _write_config(tmp_path, doc, f"{name}.json")
+            out = tmp_path / f"{name}.csv"
+            assert main(["simulate", cfg, "--out", str(out)]) == EXIT_OK
+            assert main(["crb", cfg, "--grid-size", "256"]) == EXIT_OK
+            runs[name] = (DataSet.from_csv(out).r, capsys.readouterr().out)
+        np.testing.assert_array_equal(runs["gain"][0], runs["unit"][0])
+        np.testing.assert_array_equal(runs["gain"][0], 2.0 * runs["none"][0])
+        assert runs["gain"][1] == runs["unit"][1]
+
+    def test_integral_floats_in_integer_keys(self, tmp_path, capsys):
+        # 20.0 is an integer to the schema; n_grid, max_iter, orders,
+        # grid_size and n used to end in TypeError
+        doc = json.loads(json.dumps(BENCH_CONFIG))
+        doc["experiment"] = {"loop_kind": "closed", "N": 300, "seed": 1}
+        doc["wnsf"] = {"orders": [2, 2, 1, 1], "n_grid": [20, 30],
+                       "max_iter": 3}
+        doc["crb"] = {"kind": "finite_order", "grid_size": 256, "n": 30}
+        floats = json.loads(json.dumps(doc))
+        floats["experiment"].update(N=300.0, seed=1.0)
+        floats["wnsf"].update(orders=[2.0, 2.0, 1.0, 1.0], n_grid=[20.0, 30.0],
+                              max_iter=3.0)
+        floats["crb"].update(grid_size=256.0, n=30.0)
+        outputs = []
+        for name, d in (("ints", doc), ("floats", floats)):
+            cfg = _write_config(tmp_path, d, f"{name}.json")
+            assert main(["montecarlo", cfg, "--runs", "2", "--out-dir",
+                         str(tmp_path / name)]) == EXIT_OK
+            assert main(["crb", cfg]) == EXIT_OK
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("runs.csv", "aggregate.json")]
+                           + [capsys.readouterr().out])
+        assert outputs[0] == outputs[1]
+
+    def test_echo_is_the_config_as_read(self, tmp_path):
+        cfg = _write_config(tmp_path, BENCH_CONFIG)
+        out = tmp_path / "d.csv"
+        assert main(["simulate", cfg, "--out", str(out), "--seed", "5"]) == 0
+        echo = json.loads((tmp_path / "d.csv.config.json").read_text())
+        assert echo["experiment"] == BENCH_CONFIG["experiment"]
+        assert echo["effective"]["seed"] == 5
+
+    def test_with_flags_writes_a_copy(self):
+        doc = json.loads(json.dumps(BENCH_CONFIG))
+        args = argparse.Namespace(seed=7, kind="finite_order", n=None,
+                                  n_grid="10:30:10", known_zero_ic=None)
+        merged = with_flags(doc, args)
+        assert doc == BENCH_CONFIG
+        assert merged["experiment"] == dict(doc["experiment"], seed=7)
+        assert merged["crb"] == {"kind": "finite_order"}
+        assert merged["wnsf"] == {"n_grid": [10, 20, 30]}
+        assert merged["system"] == doc["system"]
+
+
+# -- fuzzed configs and data files -----------------------------------------
+
+ALLOWED_EXITS = {EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION, EXIT_IDENTIFICATION,
+                 EXIT_BOUND}
+
+
+def _sometimes(draw, usual, other):
+    """``usual``, and about one time in eight a draw from ``other``."""
+    # Hypothesis favours the ends of a range, so the rare case sits inside
+    return draw(other) if draw(st.integers(0, 7)) == 3 else usual
+
+
+@st.composite
+def _integer(draw, lo, hi):
+    """An integer, sometimes written as an integral float."""
+    n = draw(st.integers(lo, hi))
+    return float(n) if draw(st.booleans()) else n
+
+
+@st.composite
+def _coeffs(draw, lead, degree=0):
+    """A short list in [-3, 3] whose first entry is mostly ``lead`` (1 for
+    a monic polynomial, 0 for L), of at least the given degree; the others
+    are mostly small, so that many loops are stable."""
+    first = _sometimes(draw, lead, st.sampled_from([0.0, 1.0, 2.0, -0.5]))
+    bound = _sometimes(draw, 0.5, st.just(3.0))
+    return [first] + draw(st.lists(st.floats(-bound, bound),
+                                   min_size=degree, max_size=3))
+
+
+@st.composite
+def _configs(draw):
+    doc = {
+        "system": {"F": draw(_coeffs(1.0, 1)), "L": draw(_coeffs(0.0, 1)),
+                   "C": draw(_coeffs(1.0)), "D": draw(_coeffs(1.0))},
+        "controller": {"num": draw(_coeffs(0.5)), "den": draw(_coeffs(1.0))},
+        "reference": {"num": draw(_coeffs(1.0)), "den": draw(_coeffs(1.0)),
+                      "gain": draw(st.floats(-3, 3))},
+        "noise": _sometimes(draw, draw(st.sampled_from(
+            [{"std": 1.0}, {"std": 0.0}, {"snr_target": 5.0}])),
+            st.just({"std": 1.0, "snr_target": 5.0})),
+        "experiment": {"loop_kind": draw(st.sampled_from(
+                           ["open", "closed", "closed_ref_through_K"])),
+                       "N": draw(_integer(1, 300)),
+                       "seed": draw(_integer(0, 5))},
+        "wnsf": {"orders": [draw(_integer(1, 3)), draw(_integer(1, 3)),
+                            draw(_integer(0, 2)), draw(_integer(0, 2))],
+                 "n_grid": draw(st.lists(_integer(1, 30), min_size=1,
+                                         max_size=2)),
+                 "max_iter": draw(_integer(1, 3)),
+                 "known_zero_ic": draw(st.booleans())},
+        "crb": {"kind": draw(st.sampled_from(
+                    ["full", "reference_only", "finite_order"])),
+                "grid_size": draw(_integer(2, 512)),
+                "n": draw(_integer(1, 30))},
+    }
+    # drop optional and required keys alike; the size keys stay, so that
+    # no default grid or order makes an example slow
+    droppable = [(section, key) for section, body in doc.items()
+                 for key in [None] + list(body)
+                 if key not in ("n_grid", "max_iter", "grid_size", "n")]
+    for section, key in _sometimes(draw, [], st.lists(
+            st.sampled_from(droppable), min_size=1, max_size=3, unique=True)):
+        if key is None:
+            doc.pop(section, None)
+        elif section in doc:
+            del doc[section][key]
+    where = _sometimes(draw, None, st.sampled_from(["(root)", *doc]))
+    if where is not None:
+        (doc if where == "(root)" else doc[where])["bogus"] = 1
+    return doc
+
+
+@st.composite
+def _csvs(draw):
+    header = _sometimes(draw, draw(st.sampled_from(["t,r,u,y", "t,r,u,y,e"])),
+                        st.lists(st.sampled_from(["t", "r", "u", "y", "e", "z"]),
+                                 min_size=1, max_size=6).map(",".join))
+    width = len(header.split(","))
+    rows = draw(st.lists(st.lists(st.floats(-10, 10).map(repr),
+                                  min_size=width, max_size=width),
+                         max_size=40))
+    # at most one defect per file, so that most files load
+    defect = _sometimes(draw, None, st.sampled_from(
+        ["nan", "inf", "-inf", "x", "", "ragged"]))
+    if defect is not None and rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[-1:] = [] if defect == "ragged" else [defect]
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+def _run(argv):
+    code = main(argv)
+    assert code in ALLOWED_EXITS
+    return code
+
+
+class TestFuzzedInputsExitCleanly:
+    """Whatever the config or data file, every command ends in a documented
+    exit code; an exception escaping ``main`` fails the test."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_configs(), st.sampled_from(["1,1,0,0", "2,2,1,1", "2,1,0,0"]))
+    def test_config(self, doc, orders):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _write_config(Path(tmp), doc)
+            data = str(Path(tmp) / "data.csv")
+            if _run(["simulate", cfg, "--out", data]) == EXIT_OK:
+                _run(["identify", "--data", data, "--orders", orders,
+                      "--n-grid", "5,10", "--max-iter", "2"])
+            _run(["crb", cfg])
+            _run(["montecarlo", cfg, "--runs", "1", "--out-dir",
+                  str(Path(tmp) / "mc")])
+
+    @settings(max_examples=120, deadline=None)
+    @given(_csvs())
+    def test_data_file(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "data.csv"
+            data.write_text(text)
+            _run(["identify", "--data", str(data), "--orders", "1,1,0,0",
+                  "--n-grid", "2,5", "--max-iter", "2"])

@@ -27,7 +27,7 @@ from wnsf.estimator import (
 from wnsf.lti import BjModel, Polynomial, is_stable
 from wnsf.simulate import DataSet, LoopConfig, generate
 
-from conftest import random_stable_theta
+from conftest import random_stable_theta, unstable_predictor_record
 
 BJ_ORDERS = ModelOrders(2, 2, 1, 1)
 
@@ -428,6 +428,30 @@ class TestIdentifyInvariants:
             if math.isfinite(entry["pem_cost"]):
                 cand = orders.model(entry["theta"])
                 assert is_stable(cand.F)[0] and is_stable(cand.C)[0]
+
+
+class TestIdentificationDiagnostics:
+    def test_unstable_predictor_is_a_reason(self):
+        # every candidate was computed but had pem_cost = inf (the first
+        # @example of TestIdentifyInvariants); the error used to carry no
+        # reason at all
+        data, orders, options = unstable_predictor_record()
+        with pytest.raises(IdentificationError) as info:
+            wnsf_identify(data, orders, options)
+        assert list(info.value.diagnostics) == [20]
+        assert "stable predictor" in info.value.diagnostics[20]
+
+    def test_every_n_has_its_reason(self):
+        # n = 200 needs N >= 401 and fails in step 1; n = 20 used to be
+        # left out of the diagnostics
+        data, orders, options = unstable_predictor_record()
+        with pytest.raises(IdentificationError) as info:
+            wnsf_identify(data, orders, WnsfOptions(n_grid=(20, 200),
+                                                    max_iter=1))
+        reasons = info.value.diagnostics
+        assert sorted(reasons) == [20, 200]
+        assert "stable predictor" in reasons[20]
+        assert "step 1/2 failed" in reasons[200]
 
 
 class TestOptions:
