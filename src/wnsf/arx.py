@@ -22,6 +22,7 @@ only if lambda_min(R) > delta_reg/2.  That predicate is decided by a
 Cholesky attempt on R - (delta_reg/2) I, which succeeds exactly when that
 matrix is positive definite.  The Cholesky factor of the matrix actually
 solved with is kept on the estimate, so step 3 never factors R again.
+The OE step 3 also needs R_reg^-1, formed once per n from that factor.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from functools import cached_property
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotri
 
 from .lti import BjModel, RationalFilter, impulse_response, is_stable, poly_mul
 from .simulate import DataSet
@@ -54,6 +56,21 @@ class ArxEstimate:
         """Upper Cholesky factor U of R_reg (R_reg = U^T U), computed once
         and shared by the ARX solve and every step-3 iteration."""
         return cholesky(self.R_reg)
+
+    @cached_property
+    def R_inv(self) -> np.ndarray:
+        """R_reg^-1 from the kept factor (LAPACK dpotri), formed once per n
+        for the OE step 3; R_reg is not factored again.  Forming the inverse
+        is safe because ``estimate_arx`` keeps lambda_min(R_reg) >= delta/2
+        in both branches (R itself only when lambda_min(R) > delta/2, else
+        the positive semidefinite R plus (delta/2) I), so
+        ||R_reg^-1||_2 <= 2/delta."""
+        inv, info = dpotri(self.R_chol)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"cannot invert the regressor covariance (dpotri info {info})")
+        # dpotri fills the upper triangle only
+        return np.triu(inv) + np.triu(inv, 1).T
 
     @property
     def a(self) -> np.ndarray:

@@ -404,6 +404,11 @@ def cmd_crb(args) -> int:
     kind = sec.get("kind", "full")
     grid = int(sec.get("grid_size", GRID_SIZE_DEFAULT))
     n = int(sec.get("n", 200))
+    # the bound is on the parameters of F and L, so each needs degree >= 1;
+    # simulate runs a constant F or L, so the schema cannot reject it
+    for name in ("F", "L"):
+        if getattr(cfg.system, name).degree < 1:
+            raise ConfigError(f"system.{name}: the bound needs degree >= 1")
     try:
         sm = SpectrumModel.from_loop_config(cfg)
     except ValueError as exc:

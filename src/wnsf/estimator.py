@@ -7,8 +7,11 @@ W = T^-T R T^-1 built from the previous parameter estimate, and may be
 iterated.  T is block lower-triangular Toeplitz in C, L and F, so T^-1 is
 applied by filtering with 1/C and 1/F (``apply_T_inverse``, given the model
 that the step-3 guard built and found stable); the dense T of ``build_T`` is
-only a reference for the tests.  The ARX order n and the iteration are
-selected by the quadratic prediction-error cost.
+only a reference for the tests.  Without a noise model (output error) the
+weighting is (Tbar R^-1 Tbar^T)^-1, Tbar = [-Tl  Tf]: R^-1 is formed once per
+n (``ArxEstimate.R_inv``) and Tbar R^-1 Tbar^T is two FIR filterings of its
+columns, by L and by F, so Tbar is never formed either.  The ARX order n and
+the iteration are selected by the quadratic prediction-error cost.
 """
 
 from __future__ import annotations
@@ -237,18 +240,28 @@ def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
 def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
                  orders: ModelOrders) -> ThetaEstimate:
     """No-noise-model variant: only the plant relations are kept and the
-    weighting is (Tbar R^-1 Tbar^T)^-1 with Tbar = [-Tl  Tf]."""
+    weighting is S_w^-1, S_w = Tbar R^-1 Tbar^T with Tbar = [-Tl  Tf].
+
+    Tbar is never formed.  Tf X is the columns of X filtered by F and cut at
+    n rows (Tl X likewise by L), so with R^-1 from ``arx.R_inv`` (formed once
+    per n) S_w is two FIR passes, O(n^2 m); the n x n Cholesky of S_w is the
+    only cubic work per iteration.
+    """
     if not orders.is_oe:
         raise ValueError("OE step requires m_c = m_d = 0")
     model = _weighting_model(theta_prev, orders)
     n = arx.n
     Q2 = build_Q(arx.eta, orders)[n:, :]
-    t_bar = np.hstack(
-        [-toeplitz_matrix(model.L, n, n), toeplitz_matrix(model.F, n, n)]
-    )
-    # with R = G^T G, Tbar R^-1 Tbar^T = V^T V for V = G^-T Tbar^T
-    V = solve_triangular(arx.R_chol, t_bar.T, trans="T")
-    S_w = V.T @ V
+    f_filter, l_filter = RationalFilter(model.F), RationalFilter(model.L)
+
+    def tbar(X):
+        # (Tbar X^T)^T for X with 2n columns: filter_signal runs along the
+        # last axis, so the rows of X are the signals
+        return (filter_signal(f_filter, X[:, n:])
+                - filter_signal(l_filter, X[:, :n]))
+
+    # R^-1 Tbar^T (2n x n), then Tbar R^-1 Tbar^T
+    S_w = tbar(tbar(arx.R_inv).T)
     S_w = 0.5 * (S_w + S_w.T)
     Ls = cholesky(S_w, lower=True)
     A = solve_triangular(Ls, Q2, lower=True)

@@ -126,10 +126,19 @@ CONST_ZERO = RationalFilter(Polynomial(np.array([0.0])), ONE)
 
 
 def filter_signal(f: RationalFilter, x: np.ndarray) -> np.ndarray:
-    """Apply num/den to a signal as a direct-form difference equation with
-    zero initial state.  Output length equals input length."""
+    """Apply num/den along the last axis of x as a direct-form difference
+    equation with zero initial state.  Output length equals input length.
+
+    A FIR filter (den = 1) is a sum of shifted copies of x, taken over all
+    rows at once: lfilter would convolve the rows one by one in Python."""
     x = np.asarray(x, dtype=float)
-    return _signal.lfilter(f.num.coeffs, f.den.coeffs, x)
+    if f.den.degree > 0:
+        return _signal.lfilter(f.num.coeffs, f.den.coeffs, x)
+    b = f.num.coeffs
+    y = b[0] * x
+    for k in range(1, min(len(b), x.shape[-1])):
+        y[..., k:] += b[k] * x[..., :-k]
+    return y
 
 
 def impulse_response(f: RationalFilter, length: int) -> np.ndarray:

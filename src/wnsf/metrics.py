@@ -179,14 +179,18 @@ def run_monte_carlo(exp: McExperiment, runs: int,
     """Run ``runs`` independent identifications with seeds base_seed + k.
 
     The aggregate is a deterministic function of the config regardless of
-    execution order or parallelism.
+    execution order or parallelism.  A pool gets the runs in chunks, about
+    four per worker (the heuristic of ``multiprocessing.Pool.map``), so a
+    run of a few milliseconds does not pay a round trip to a worker alone.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     seeds = [exp.base_seed + k for k in range(runs)]
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_single_run, [exp] * runs, seeds))
+            chunksize = -(-runs // (4 * parallelism))
+            results = list(pool.map(_single_run, [exp] * runs, seeds,
+                                    chunksize=chunksize))
     else:
         results = [_single_run(exp, s) for s in seeds]
     results.sort(key=lambda r: r.seed)

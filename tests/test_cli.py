@@ -214,6 +214,9 @@ BAD_INPUTS = {
     "crb_pole_on_unit_circle": (["crb", "{unit_root}", "--grid-size", "256"],
                                 EXIT_BOUND, "unit circle"),
     "crb_snr_target": (["crb", "{snr}"], EXIT_CONFIG, "noise.snr_target"),
+    # a plant of degree 0 has nothing to bound; these exited 5
+    "crb_f_degree_0": (["crb", "{f_degree0}"], EXIT_CONFIG, "system.F"),
+    "crb_l_degree_0": (["crb", "{l_degree0}"], EXIT_CONFIG, "system.L"),
     # Python's json reads the constants NaN, Infinity and -Infinity
     "config_std_nan": (["simulate", "{std_nan}", "--out", "{tmp}/x.csv"],
                        EXIT_CONFIG, "noise.std"),
@@ -265,6 +268,8 @@ def bad_input_paths(tmp_path):
         "gain_minus_inf": {"reference": {"gain": float("-inf")}},
         "f_not_monic": {"system": dict(doc["system"], F=[2.0, -0.5])},
         "l_constant": {"system": dict(doc["system"], L=[1.0, 1.0])},
+        "f_degree0": {"system": dict(doc["system"], F=[1.0])},
+        "l_degree0": {"system": dict(doc["system"], L=[0.0])},
         "k_den": {"controller": {"num": [1.0], "den": [0.5]}},
         "ref_den": {"reference": {"den": [1.0, -0.5]}},
         "d_overflow": {"system": dict(doc["system"], D=[1.0, -1.5]),

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
-from wnsf.arx import ArxEstimate, estimate_arx, true_eta
+from wnsf.arx import ArxEstimate, build_regressors, estimate_arx, true_eta
 from wnsf.estimator import (
     IdentificationError,
     ModelOrders,
@@ -24,7 +24,13 @@ from wnsf.estimator import (
     step3_wls_oe,
     wnsf_identify,
 )
-from wnsf.lti import BjModel, Polynomial, is_stable
+from wnsf.lti import (
+    BjModel,
+    Polynomial,
+    RationalFilter,
+    is_stable,
+    toeplitz_matrix,
+)
 from wnsf.simulate import DataSet, LoopConfig, generate
 
 from conftest import random_stable_theta, unstable_predictor_record
@@ -239,6 +245,125 @@ class TestStep3:
             step3_wls_oe(arx, bench_system.theta, BJ_ORDERS)
 
 
+def _step3_wls_oe_dense(arx: ArxEstimate, theta_prev, orders: ModelOrders):
+    """The OE step 3 with the dense Tbar = [-Tl  Tf]: S_w = V^T V for
+    V = G^-T Tbar^T, R = G^T G.  The reference for ``step3_wls_oe``; returns
+    theta and the condition number of the weighted reduction."""
+    model = orders.model(theta_prev)
+    n = arx.n
+    t_bar = np.hstack([-toeplitz_matrix(model.L, n, n),
+                       toeplitz_matrix(model.F, n, n)])
+    V = solve_triangular(arx.R_chol, t_bar.T, trans="T")
+    S_w = V.T @ V
+    Ls = cholesky(0.5 * (S_w + S_w.T), lower=True)
+    A = solve_triangular(Ls, build_Q(arx.eta, orders)[n:, :], lower=True)
+    b = solve_triangular(Ls, arx.b, lower=True)
+    return np.linalg.lstsq(A, b, rcond=None)[0], np.linalg.cond(A)
+
+
+@st.composite
+def _oe_step3_cases(draw):
+    m_f, m_l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # Q's n plant rows must not be fewer than its m_f + m_l columns
+    n = draw(st.integers(m_f + m_l, 40))
+    # delta_reg = ridge * lambda_min(R): the ridge fires exactly when
+    # lambda_min(R) <= delta_reg / 2, that is for ridge > 2
+    ridge = draw(st.sampled_from([1.0, 4.0, 1e4]))
+    noise_std = draw(st.sampled_from([0.1, 1.0]))
+    return (ModelOrders(m_f, m_l), n, ridge, noise_std,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestStep3OeFiltered:
+    """``step3_wls_oe`` builds S_w by filtering R^-1; the dense Tbar path it
+    replaced is the oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_oe_step3_cases())
+    # the fewest rows Q can have, unridged and ridged
+    @example((ModelOrders(3, 3), 6, 1.0, 1.0, 0))
+    @example((ModelOrders(1, 1), 2, 4.0, 0.1, 1))
+    @example((ModelOrders(3, 2), 40, 1e4, 0.1, 2))
+    # cond(A) = 23 but cond(R) = 1e7: against a 50-digit reference the
+    # oracle misses by 2.5e-12 and the filtered path by 5e-13
+    @example((ModelOrders(3, 1), 11, 1.0, 0.1, 126))
+    def test_matches_dense_path(self, case):
+        """Either path rounds S_w, and theta inherits that error amplified by
+        K = cond(A) sqrt(cond(R)), A the weighted reduction: over 2,000
+        draws the two differed by at most 2.2 eps K.  So the tolerance is
+        1e-12 of the largest entry of theta, times K/100 where K > 100."""
+        orders, n, ridge, noise_std, seed = case
+        rng = np.random.default_rng(seed)
+        truth = random_stable_theta(rng, orders.m_f, orders.m_l, 0, 0)
+        data = generate(LoopConfig(system=orders.model(truth), N=6 * n + 60,
+                                   noise_std=noise_std, seed=seed))
+        R, _ = build_regressors(data, n)
+        delta = ridge * np.linalg.eigvalsh(R)[0]
+        arx = estimate_arx(data, n, delta_reg=delta)
+        assert arx.regularized == (ridge > 2)
+        weight = random_stable_theta(rng, orders.m_f, orders.m_l, 0, 0)
+        want, cond_a = _step3_wls_oe_dense(arx, weight, orders)
+        got = step3_wls_oe(arx, weight, orders).theta
+        K = cond_a * np.sqrt(np.linalg.cond(arx.R_reg))
+        tol = 1e-12 * max(1.0, K / 100)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("delta_reg", [1e-6, 10.0])
+    def test_matches_dense_path_at_bench_size(self, fast_oe_system, delta_reg):
+        # the OE configuration of acceptance criterion 4 at n = 250; the
+        # larger delta_reg makes the ridge fire
+        orders, n = ModelOrders(3, 2), 250
+        data = generate(LoopConfig(system=fast_oe_system,
+                                   controller=RationalFilter(Polynomial([0.03])),
+                                   noise_std=2.0, N=2000, seed=0))
+        arx = estimate_arx(data, n, delta_reg=delta_reg)
+        assert arx.regularized == (delta_reg > 1)
+        start = step2_ls(arx, orders).theta
+        want, _ = _step3_wls_oe_dense(arx, start, orders)
+        got = step3_wls_oe(arx, start, orders).theta
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_no_factor_solve_and_no_dense_tbar(self, monkeypatch):
+        # R^-1 is all the step reads of R: a missing factor goes unnoticed,
+        # and no n x n Toeplitz block of Tbar is built
+        import wnsf.estimator as estimator
+
+        rng = np.random.default_rng(5)
+        orders, n = ModelOrders(2, 2), 30
+        truth = random_stable_theta(rng, 2, 2, 0, 0)
+        arx = estimate_arx(generate(LoopConfig(system=orders.model(truth),
+                                               N=400, seed=5)), n)
+        want = step3_wls_oe(arx, truth, orders).theta
+        bare = ArxEstimate(n=n, eta=arx.eta, R=arx.R, r_vec=arx.r_vec,
+                           N=arx.N, regularized=False, R_reg=arx.R_reg)
+        bare.__dict__.update(R_inv=arx.R_inv, R_chol=None)
+        shapes = []
+
+        def recording(p, rows, cols):
+            shapes.append((rows, cols))
+            return toeplitz_matrix(p, rows, cols)
+
+        monkeypatch.setattr(estimator, "toeplitz_matrix", recording)
+        assert np.array_equal(step3_wls_oe(bare, truth, orders).theta, want)
+        assert shapes and (n, n) not in shapes
+
+    def test_r_inv_is_the_inverse(self):
+        rng = np.random.default_rng(7)
+        G = rng.standard_normal((12, 8))
+        R = G.T @ G / 12
+        arx = ArxEstimate(n=4, eta=np.zeros(8), R=R, r_vec=np.zeros(8),
+                          N=12, regularized=False, R_reg=R)
+        assert np.array_equal(arx.R_inv, arx.R_inv.T)
+        assert np.max(np.abs(arx.R_inv @ R - np.eye(8))) < 1e-12
+
+    def test_singular_factor_raises_linalg_error(self):
+        arx = ArxEstimate(n=1, eta=np.zeros(2), R=np.eye(2), r_vec=np.zeros(2),
+                          N=10, regularized=False, R_reg=np.eye(2))
+        arx.__dict__["R_chol"] = np.array([[1.0, 0.5], [0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            arx.R_inv
+
+
 class TestReflection:
     def test_unstable_root_reflected(self):
         orders = ModelOrders(1, 1)
@@ -428,6 +553,67 @@ class TestIdentifyInvariants:
             if math.isfinite(entry["pem_cost"]):
                 cand = orders.model(entry["theta"])
                 assert is_stable(cand.F)[0] and is_stable(cand.C)[0]
+
+
+@st.composite
+def _scaling_cases(draw):
+    m_f, m_l = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    noise = draw(st.booleans())
+    m_c = draw(st.integers(1, 2)) if noise else 0
+    m_d = draw(st.integers(1, 2)) if noise else 0
+    n_grid = draw(st.sampled_from([(20,), (20, 30)]))
+    scales = st.sampled_from([0.01, 0.3, 1.0, 4.0, 100.0])
+    return (ModelOrders(m_f, m_l, m_c, m_d), n_grid, draw(scales),
+            draw(scales), draw(st.integers(0, 2**32 - 1)))
+
+
+def _trace_entries(data, orders, options):
+    """(n, iter) -> trace entry of ``wnsf_identify``; empty if it failed."""
+    try:
+        est = wnsf_identify(data, orders, options)
+    except IdentificationError:
+        return {}
+    return {(e["n"], e["iter"]): e for e in est.trace}
+
+
+class TestScalingEquivariance:
+    @settings(max_examples=40, deadline=None)
+    @given(_scaling_cases())
+    @example((ModelOrders(2, 2, 1, 1), (20, 30), 0.01, 100.0, 0))
+    @example((ModelOrders(2, 1), (20,), 100.0, 0.3, 1))
+    def test_scaled_record_scales_every_iterate(self, case):
+        """Scaling u by alpha and y by beta maps every step-3 iterate theta
+        to the same F, C and D with L times beta/alpha, and its pem_cost to
+        beta^2 times the cost, within 1e-9 relative (over 800 draws and
+        3,400 entries the largest miss was 4.3e-11).  Each (n, iter) entry
+        found in both traces is compared: the stopping rule on
+        ||d theta||/||theta|| is not scale free, so the traces may differ in
+        length.  delta_reg is absolute, so the ridge can fire at one scale
+        and not at the other; an n where it fires on either side is left
+        out."""
+        orders, n_grid, alpha, beta, seed = case
+        rng = np.random.default_rng(seed)
+        theta0 = random_stable_theta(rng, orders.m_f, orders.m_l,
+                                     orders.m_c, orders.m_d)
+        data = generate(LoopConfig(system=orders.model(theta0), N=400,
+                                   noise_std=0.5, seed=seed))
+        scaled = DataSet(r=data.r, u=alpha * data.u, y=beta * data.y)
+        options = WnsfOptions(n_grid=n_grid, max_iter=3)
+        plain = [n for n in n_grid
+                 if not (estimate_arx(data, n).regularized
+                         or estimate_arx(scaled, n).regularized)]
+        want = _trace_entries(data, orders, options)
+        got = _trace_entries(scaled, orders, options)
+        l_block = slice(orders.m_f, orders.dyn_dim)
+        for key in sorted(set(want) & set(got)):
+            if key[0] not in plain:
+                continue
+            theta = np.array(want[key]["theta"])
+            back = np.array(got[key]["theta"])
+            back[l_block] *= alpha / beta
+            assert np.max(np.abs(back - theta)) <= 1e-9 * np.max(np.abs(theta))
+            assert math.isclose(got[key]["pem_cost"],
+                                beta**2 * want[key]["pem_cost"], rel_tol=1e-9)
 
 
 class TestIdentificationDiagnostics:

@@ -91,6 +91,22 @@ class TestFilter:
         f = RationalFilter(Polynomial([1.0, 1.0]), Polynomial([1.0, -0.5]))
         assert len(filter_signal(f, x)) == 17
 
+    @settings(max_examples=100, deadline=None)
+    @given(poly_strategy, st.integers(0, 3), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_fir_rows_match_convolution(self, b, rows, length, seed):
+        # a FIR filter runs on all rows at once; each row must equal its
+        # own truncated convolution, up to the rounding of an m + 1 term sum
+        shape = (length,) if rows == 0 else (rows, length)
+        x = np.random.default_rng(seed).standard_normal(shape)
+        want = np.apply_along_axis(
+            lambda row: np.convolve(b.coeffs, row)[:length], -1, x)
+        got = filter_signal(RationalFilter(b), x)
+        assert got.shape == x.shape
+        bound = 4 * len(b.coeffs) * np.finfo(float).eps * np.sum(
+            np.abs(b.coeffs)) * np.max(np.abs(x))
+        assert np.max(np.abs(got - want)) <= bound
+
 
 class TestImpulseResponse:
     def test_geometric_series(self):
