@@ -1,6 +1,12 @@
 """Weighted null-space fitting for SISO Box-Jenkins identification."""
 
-from .arx import ArxEstimate, build_regressors, estimate_arx, true_eta
+from .arx import (
+    ArxEstimate,
+    ArxGrid,
+    build_regressors,
+    estimate_arx,
+    true_eta,
+)
 from .crb import (
     CrbResult,
     SpectrumModel,

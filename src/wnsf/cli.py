@@ -120,6 +120,8 @@ CONFIG_SCHEMA = {
                     "type": "array",
                     "items": {"type": "integer", "minimum": 1},
                     "minItems": 1,
+                    # a repeated n would be identified twice
+                    "uniqueItems": True,
                 },
                 "max_iter": _COUNT,
                 "tol": {"type": "number", "exclusiveMinimum": 0},
@@ -363,6 +365,8 @@ def cmd_identify(args) -> int:
         print(f"error: identification failed: {exc}", file=sys.stderr)
         for n, reason in sorted(exc.diagnostics.items()):
             print(f"  n={n}: {reason}", file=sys.stderr)
+        with _writing("--out"):
+            _write_json(args.out, exc.to_json())
         return EXIT_IDENTIFICATION
     with _writing("--out"):
         _write_json(args.out, est.to_json())

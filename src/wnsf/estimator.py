@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .arx import DELTA_REG_DEFAULT, ArxEstimate, estimate_arx
+from .arx import DELTA_REG_DEFAULT, ArxEstimate, ArxGrid
 from .lti import (
     ONE,
     TOL_STAB,
@@ -48,12 +48,19 @@ class RankDeficientError(np.linalg.LinAlgError):
         self.cond = cond
 
 
+def _failures_json(failures: Dict[int, str]) -> dict:
+    return {str(n): reason for n, reason in sorted(failures.items())}
+
+
 class IdentificationError(RuntimeError):
     """Every (n, iteration) candidate was infeasible."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+    def to_json(self):
+        return {"failures": _failures_json(self.diagnostics)}
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,9 @@ class ThetaEstimate:
     pem_cost: float = math.nan  # until wnsf_identify evaluates it
     step2_theta: Optional[np.ndarray] = None
     reflected: bool = False
+    regularized: bool = False  # step 1 solved with the ridge
     trace: List[dict] = field(default_factory=list)
+    failures: Dict[int, str] = field(default_factory=dict)  # n -> reason
 
     @property
     def model(self) -> BjModel:
@@ -118,7 +127,9 @@ class ThetaEstimate:
             else self.step2_theta.tolist(),
             "stable_noise_model": self.stable_noise_model,
             "reflected": self.reflected,
+            "regularized": self.regularized,
             "trace": self.trace,
+            "failures": _failures_json(self.failures),
         }
 
 
@@ -141,6 +152,9 @@ class WnsfOptions:
             raise ValueError("n_grid must not be empty")
         if min(self.n_grid) < 1:
             raise ValueError("n_grid entries must be >= 1")
+        for n in self.n_grid:
+            if self.n_grid.count(n) > 1:
+                raise ValueError(f"n_grid repeats n={n}")
 
 
 def build_Q(eta: np.ndarray, orders: ModelOrders) -> np.ndarray:
@@ -226,13 +240,13 @@ def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
               orders: ModelOrders) -> ThetaEstimate:
     """Weighted re-estimation with W = T^-T R T^-1 built at theta_prev.
 
-    W is never formed: with R = G^T G (G the factor kept on ``arx``) the
-    problem is the plain least squares of (G T^-1 Q, G T^-1 eta), and T^-1
-    is applied to [Q | eta] in one filtering pass.
+    W is never formed: with R = G^T G (G from the factor kept on ``arx``)
+    the problem is the plain least squares of (G T^-1 Q, G T^-1 eta), and
+    T^-1 is applied to [Q | eta] in one filtering pass.
     """
     model = _weighting_model(theta_prev, orders)
     X = np.column_stack([build_Q(arx.eta, orders), arx.eta])
-    GZ = arx.R_chol @ apply_T_inverse(model, X)
+    GZ = arx.apply_factor(apply_T_inverse(model, X))
     theta = _solve_ls(GZ[:, :-1], GZ[:, -1])
     return ThetaEstimate(theta, orders, n_used=arx.n, iterations=1)
 
@@ -322,47 +336,62 @@ def pem_cost(theta: np.ndarray, data: DataSet, orders: ModelOrders) -> float:
     return float(np.mean(eps**2))
 
 
+def _identify_order(step1: ArxGrid, n: int, data: DataSet,
+                    orders: ModelOrders, options: WnsfOptions,
+                    failures: Dict[int, str]) -> List[ThetaEstimate]:
+    """Steps 1-3 at ARX order n: the step-3 iterates, each with its PEM
+    cost.  A failure is recorded in ``failures``.  The order's ARX estimate
+    lives only as long as this call."""
+    step3 = step3_wls_oe if orders.is_oe else step3_wls
+    try:
+        arx = step1.estimate(n)
+        current = step2_ls(arx, orders)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        failures[n] = f"step 1/2 failed: {exc}"
+        return []
+    iterates = []
+    step2_theta = current.theta
+    theta_prev = current.theta
+    any_reflection = False
+    for it in range(1, options.max_iter + 1):
+        weight_theta, reflected = reflect_unstable(theta_prev, orders)
+        any_reflection = any_reflection or reflected
+        try:
+            est = step3(arx, weight_theta, orders)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            failures.setdefault(n, f"step 3 failed at iter {it}: {exc}")
+            break
+        est.iterations = it
+        est.step2_theta = step2_theta
+        est.reflected = any_reflection
+        est.regularized = arx.regularized
+        est.pem_cost = pem_cost(est.theta, data, orders)
+        iterates.append(est)
+        rel_change = np.linalg.norm(est.theta - theta_prev) / (
+            np.linalg.norm(theta_prev) + 1e-12
+        )
+        theta_prev = est.theta
+        if rel_change < options.tol:
+            break
+    return iterates
+
+
 def wnsf_identify(data: DataSet, orders: ModelOrders,
                   options: WnsfOptions = WnsfOptions()) -> ThetaEstimate:
     """Full pipeline: for each n in the grid run steps 1-3, iterate step 3
     re-using the latest estimate in the weighting, and return the candidate
     with minimal prediction-error cost (smaller n, then fewer iterations, on
     ties).  Candidates whose weighting needed root reflection are kept out of
-    the selection unless nothing else is available."""
-    step3 = step3_wls_oe if orders.is_oe else step3_wls
-
+    the selection unless nothing else is available.  Step 1 is shared by the
+    grid (``ArxGrid``); the reason each failed n failed is kept on the
+    result as ``failures``."""
+    step1 = ArxGrid(data, options.n_grid, options.delta_reg,
+                    options.known_zero_ic)
     candidates = []
     failures = {}
     for n in options.n_grid:
-        try:
-            arx = estimate_arx(data, n, delta_reg=options.delta_reg,
-                               known_zero_ic=options.known_zero_ic)
-            current = step2_ls(arx, orders)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            failures[n] = f"step 1/2 failed: {exc}"
-            continue
-        step2_theta = current.theta
-        theta_prev = current.theta
-        any_reflection = False
-        for it in range(1, options.max_iter + 1):
-            weight_theta, reflected = reflect_unstable(theta_prev, orders)
-            any_reflection = any_reflection or reflected
-            try:
-                est = step3(arx, weight_theta, orders)
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                failures.setdefault(n, f"step 3 failed at iter {it}: {exc}")
-                break
-            est.iterations = it
-            est.step2_theta = step2_theta
-            est.reflected = any_reflection
-            est.pem_cost = pem_cost(est.theta, data, orders)
-            candidates.append(est)
-            rel_change = np.linalg.norm(est.theta - theta_prev) / (
-                np.linalg.norm(theta_prev) + 1e-12
-            )
-            theta_prev = est.theta
-            if rel_change < options.tol:
-                break
+        candidates += _identify_order(step1, n, data, orders, options,
+                                      failures)
 
     feasible = [c for c in candidates if math.isfinite(c.pem_cost)]
     selectable = [c for c in feasible if not c.reflected] or feasible
@@ -374,6 +403,7 @@ def wnsf_identify(data: DataSet, orders: ModelOrders,
             diagnostics=failures,
         )
     best = min(selectable, key=lambda c: (c.pem_cost, c.n_used, c.iterations))
+    best.failures = failures
     best.trace = [
         {
             "n": c.n_used,
@@ -381,6 +411,7 @@ def wnsf_identify(data: DataSet, orders: ModelOrders,
             "theta": c.theta.tolist(),
             "pem_cost": c.pem_cost,
             "reflected": c.reflected,
+            "regularized": c.regularized,
         }
         for c in candidates
     ]

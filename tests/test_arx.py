@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky
 
 from wnsf.arx import (
     ArxEstimate,
+    ArxGrid,
     build_regressors,
     estimate_arx,
     ridge_needed,
+    solve_leading_blocks,
     true_eta,
     truncation_tail,
 )
@@ -208,6 +211,17 @@ class TestEstimateArx:
                            R_reg=est.R_reg)
         assert np.array_equal(lazy.R_chol, est.R_chol)
 
+    def test_lone_order_is_one_cholesky_solve(self):
+        # a lone order keeps its arithmetic bit for bit: the Cholesky factor
+        # of R_reg and a Cholesky solve with it, ridged or not
+        rng = np.random.default_rng(10)
+        for u in (rng.standard_normal(300), np.ones(300)):
+            est = estimate_arx(_dataset(u, rng.standard_normal(300)), n=6)
+            U = cholesky(est.R_reg)
+            assert est.factor[1] is None
+            assert np.array_equal(est.R_chol, U)
+            assert np.array_equal(est.eta, cho_solve((U, False), est.r_vec))
+
     def test_zero_delta_on_singular_data_raises(self):
         data = _dataset(np.zeros(50), np.zeros(50))
         with pytest.raises(np.linalg.LinAlgError):
@@ -278,3 +292,63 @@ class TestTrueEta:
         assert est.a.shape == (6,) and est.b.shape == (6,)
         doc = est.to_json()
         assert doc["n"] == 6 and len(doc["eta"]) == 12
+
+
+class TestSolveLeadingBlocks:
+    @pytest.mark.parametrize("diag, ridged", [
+        # lambda_min of the leading blocks is the least of their entries;
+        # delta/2 = 0.75, so a block takes the ridge once it holds 0.5
+        ([4.0, 3.0, 2.0, 0.5, 1.0, 0.25], {4, 6}),   # first failure at 4
+        ([4.0, 3.0, 0.5, 2.0, 1.0, 0.25], {4, 6}),   # at 3, inside block 4
+        ([4.0, 3.0, 2.0, 1.0, 1.0, 0.5], {6}),
+        ([0.5, 3.0, 2.0, 1.0, 1.0, 2.0], {2, 4, 6}),
+        ([4.0, 3.0, 2.0, 1.0, 1.0, 2.0], set()),
+    ])
+    def test_ridge_from_the_first_failing_minor(self, diag, ridged):
+        A, b = np.diag(diag), np.arange(1.0, 7.0)
+        solved = solve_leading_blocks(A, b, [2, 4, 6], delta_reg=1.5)
+        for k, (x, regularized, U) in solved.items():
+            shift = 0.75 if k in ridged else 0.0
+            assert regularized == (k in ridged)
+            assert np.allclose(x, b[:k] / (np.array(diag[:k]) + shift),
+                               rtol=1e-15, atol=0)
+            assert np.allclose(U.T @ U, A[:k, :k] + shift * np.eye(k),
+                               rtol=1e-15, atol=0)
+
+
+class TestArxGrid:
+    def test_kept_factor_in_interleaved_order(self):
+        rng = np.random.default_rng(11)
+        data = _dataset(rng.standard_normal(400), rng.standard_normal(400))
+        grid = ArxGrid(data, (12, 5, 30), known_zero_ic=True)
+        for n in (5, 12, 30):
+            est = grid.estimate(n)
+            U, order = est.factor
+            assert np.array_equal(U, np.triu(U))
+            assert list(order[:4]) == [0, n, 1, n + 1]
+            assert sorted(order) == list(range(2 * n))
+            G = est.apply_factor(np.eye(2 * n))
+            scale = np.max(np.abs(est.R_reg))
+            assert np.max(np.abs(G.T @ G - est.R_reg)) <= 1e-14 * scale
+            assert np.max(np.abs(est.R_inv @ est.R_reg
+                                 - np.eye(2 * n))) <= 1e-12
+            assert np.array_equal(est.R_inv, est.R_inv.T)
+
+    def test_each_order_alone_without_known_zero_ic(self):
+        rng = np.random.default_rng(12)
+        data = _dataset(rng.standard_normal(200), rng.standard_normal(200))
+        grid = ArxGrid(data, (8, 4))
+        for n in (8, 4):
+            est, alone = grid.estimate(n), estimate_arx(data, n)
+            assert est.factor[1] is None
+            assert np.array_equal(est.eta, alone.eta)
+            assert np.array_equal(est.R_reg, alone.R_reg)
+
+    def test_one_feasible_order_is_estimated_alone(self):
+        # n = 100 needs N >= 201, so n = 5 is a grid of one
+        rng = np.random.default_rng(13)
+        data = _dataset(rng.standard_normal(150), rng.standard_normal(150))
+        est = ArxGrid(data, (5, 100), known_zero_ic=True).estimate(5)
+        alone = estimate_arx(data, 5, known_zero_ic=True)
+        assert est.factor[1] is None
+        assert np.array_equal(est.eta, alone.eta)

@@ -173,6 +173,11 @@ BAD_INPUTS = {
     "tol_nan": (IDENTIFY + ["--tol", "nan"], EXIT_CONFIG, "--tol"),
     "tol_inf": (IDENTIFY + ["--tol", "inf"], EXIT_CONFIG, "--tol"),
     "n_grid_0": (IDENTIFY[:-1] + ["0"], EXIT_CONFIG, "--n-grid"),
+    # a repeated n used to be identified twice
+    "n_grid_repeated": (IDENTIFY[:-1] + ["20,20"], EXIT_CONFIG, "--n-grid"),
+    "config_n_grid_repeated": (["montecarlo", "{grid_repeated}", "--runs", "1",
+                                "--out-dir", "{tmp}/mc"], EXIT_CONFIG,
+                               "wnsf.n_grid"),
     "grid_size_1": (["crb", "{cfg}", "--grid-size", "1"], EXIT_CONFIG,
                     "--grid-size"),
     "grid_size_0": (["crb", "{cfg}", "--grid-size", "0"], EXIT_CONFIG,
@@ -260,6 +265,8 @@ def bad_input_paths(tmp_path):
     doc["wnsf"] = {"orders": [2, 2, 1, 1], "n_grid": [20]}
     variants = {
         "orders0": {"wnsf": {"orders": [0, 1, 0, 0]}},
+        "grid_repeated": {"wnsf": {"orders": [2, 2, 1, 1],
+                                   "n_grid": [20, 30, 20]}},
         "snr": {"noise": {"snr_target": 50.0}},
         "c_unstable": {"system": dict(doc["system"], C=[1.0, 2.0])},
         "unit_root": {"system": dict(doc["system"], F=[1.0, -2.0, 1.0])},
@@ -375,6 +382,47 @@ class TestIdentifyCommand:
         assert code == EXIT_IDENTIFICATION
         err = capsys.readouterr().err
         assert "n=20: no iterate with a stable predictor" in err
+
+    def test_failures_and_ridge_in_the_estimate(self, tmp_path, capsys):
+        # n = 600 needs N >= 1201; the estimate names it and says for every
+        # candidate whether step 1 took the ridge
+        data_path = tmp_path / "d.csv"
+        generate(loop_config_from(BENCH_CONFIG)).to_csv(data_path)
+        out = tmp_path / "est.json"
+        code = main(["identify", "--data", str(data_path), "--orders",
+                     "2,2,1,1", "--n-grid", "600,20,40", "--known-zero-ic",
+                     "--max-iter", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["failures"] == {
+            "600": "step 1/2 failed: ARX order n=600 needs N >= 2n + 1, "
+                   "not N=1000"}
+        assert {e["n"] for e in doc["trace"]} == {20, 40}
+        assert all(e["regularized"] is False for e in doc["trace"])
+        assert doc["regularized"] is False
+
+    def test_failures_written_when_identification_fails(self, tmp_path,
+                                                        capsys):
+        data_path = tmp_path / "zeros.csv"
+        DataSet(r=np.zeros(200), u=np.zeros(200),
+                y=np.zeros(200)).to_csv(data_path)
+        out = tmp_path / "est.json"
+        code = main(["identify", "--data", str(data_path), "--orders",
+                     "2,2,1,1", "--n-grid", "20,120", "--out", str(out)])
+        assert code == EXIT_IDENTIFICATION
+        failures = json.loads(out.read_text())["failures"]
+        assert sorted(failures) == ["120", "20"]
+        assert "N >= 2n + 1" in failures["120"]
+
+    def test_same_input_is_byte_identical(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        generate(loop_config_from(BENCH_CONFIG)).to_csv(data_path)
+        argv = ["identify", "--data", str(data_path), "--orders", "2,2,1,1",
+                "--n-grid", "40,20,30", "--known-zero-ic", "--out"]
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(argv + [str(out)]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_unreadable_data(self, tmp_path, capsys):
         code = main(["identify", "--data", str(tmp_path / "missing.csv"),

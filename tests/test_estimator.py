@@ -1,12 +1,24 @@
 import math
+from collections import Counter
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular
 
-from wnsf.arx import ArxEstimate, build_regressors, estimate_arx, true_eta
+import wnsf.arx as arx_module
+import wnsf.estimator as estimator_module
+from wnsf.arx import (
+    DELTA_REG_DEFAULT,
+    ArxEstimate,
+    ArxGrid,
+    build_regressors,
+    estimate_arx,
+    true_eta,
+)
 from wnsf.estimator import (
     IdentificationError,
     ModelOrders,
@@ -658,3 +670,210 @@ class TestOptions:
         # -1 and 0 used to return an estimate; NaN and inf failed every n
         with pytest.raises(ValueError, match="delta_reg"):
             WnsfOptions(delta_reg=delta_reg)
+
+    @pytest.mark.parametrize("n_grid", [(50, 50, 400, 20), [20, 50, 20]])
+    def test_repeated_order_rejected(self, n_grid):
+        # a repeated n was identified twice, its trace entries twice over
+        with pytest.raises(ValueError, match=r"n_grid repeats n=(50|20)\b"):
+            WnsfOptions(n_grid=n_grid, known_zero_ic=True)
+
+
+# -- step 1 shared by an n-grid under known_zero_ic --------------------------
+
+class _PerOrder(ArxGrid):
+    """The oracle of the shared step 1: every order estimated alone."""
+
+    def estimate(self, n):
+        return estimate_arx(self.data, n, self.delta_reg, self.known_zero_ic)
+
+
+def _identify_doc(data, orders, options):
+    """The identify JSON document: the estimate, or the failures alone."""
+    try:
+        return wnsf_identify(data, orders, options).to_json()
+    except IdentificationError as exc:
+        return dict(exc.to_json(), trace=[])
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@st.composite
+def _shared_grid_cases(draw):
+    m_f, m_l = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    noise = draw(st.booleans())
+    m_c = draw(st.integers(1, 2)) if noise else 0
+    m_d = draw(st.integers(1, 2)) if noise else 0
+    N = draw(st.sampled_from([200, 400]))
+    feasible = draw(st.lists(st.integers(3, 40), min_size=2, max_size=4,
+                             unique=True))
+    too_long = N // 2 + draw(st.integers(0, 2))  # 2n >= N
+    grid = draw(st.permutations(feasible + [too_long]))
+    n_star = draw(st.sampled_from(sorted(feasible)))
+    # delta_reg = ridge * lambda_min(R_{n*}): for ridge = 1 the orders up to
+    # n* keep R, for ridge >= 4 the orders from n* up take the ridge
+    ridge = draw(st.sampled_from([1.0, 4.0, 1e4]))
+    return (ModelOrders(m_f, m_l, m_c, m_d), N, tuple(grid), n_star, ridge,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestSharedStepOne:
+    """Under known_zero_ic the orders of a grid share one R and at most
+    three Cholesky factorizations; each order estimated alone is the
+    oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_shared_grid_cases())
+    # BJ and OE, each with the ridge on n* and above only
+    @example((ModelOrders(2, 2, 1, 1), 400, (40, 201, 12, 25), 25, 4.0, 3))
+    @example((ModelOrders(2, 1), 200, (30, 100, 5), 5, 4.0, 4))
+    # a heavy ridge: eta shrinks and the reduction has cond(Q) ~ 1e4
+    @example((ModelOrders(1, 2, 2, 2), 400, (8, 37, 200), 8, 1e4, 347))
+    def test_matches_per_order_path(self, case):
+        """eta and R_inv within 1e-12 of their largest entry times
+        max(1, cond(R_reg)/100): both paths round R_reg's factor, in another
+        lag order (over 400 draws the gap was at most 1.2e-15 cond(R_reg)).
+        The trace within 1e-12 times max(1, K/100), K the largest
+        cond(R_reg) cond(Q) of the grid, Q the reduction: step 2 and 3
+        amplify the gap in eta by cond(Q), which a heavy ridge makes large
+        (1.95e-11 at K = 1.4e4 over those draws)."""
+        orders, N, grid, n_star, ridge, seed = case
+        rng = np.random.default_rng(seed)
+        truth = random_stable_theta(rng, orders.m_f, orders.m_l, orders.m_c,
+                                    orders.m_d)
+        data = generate(LoopConfig(system=orders.model(truth), N=N,
+                                   noise_std=0.5, seed=seed))
+        R_star, _ = build_regressors(data, n_star, known_zero_ic=True)
+        delta = ridge * np.linalg.eigvalsh(R_star)[0]
+        assume(delta > 0)
+        step1 = ArxGrid(data, grid, delta, known_zero_ic=True)
+        feasible = sorted(n for n in grid if 2 * n < N)
+        ridged, K = [], 1.0
+        for n in feasible:
+            got = step1.estimate(n)
+            want = estimate_arx(data, n, delta, known_zero_ic=True)
+            assert got.regularized == want.regularized
+            if got.regularized:
+                ridged.append(n)
+            cond_r = np.linalg.cond(want.R_reg)
+            tol = 1e-12 * max(1.0, cond_r / 100)
+            assert _rel(got.R, want.R) <= 1e-12
+            assert _rel(got.r_vec, want.r_vec) <= 1e-12
+            assert _rel(got.R_reg, want.R_reg) <= 1e-12
+            assert _rel(got.eta, want.eta) <= tol
+            assert _rel(got.R_inv, want.R_inv) <= tol
+            if n >= max(orders.m_f, orders.m_l, orders.m_c, orders.m_d):
+                K = max(K, cond_r * np.linalg.cond(build_Q(want.eta, orders)))
+        # by Cauchy interlacing the ridged orders are the largest ones
+        assert ridged == feasible[len(feasible) - len(ridged):]
+        assert (n_star in ridged) == (ridge > 2)
+        # the order too long for the record fails alone, as it did
+        for n in set(grid) - set(feasible):
+            with pytest.raises(ValueError) as got_error:
+                step1.estimate(n)
+            with pytest.raises(ValueError) as want_error:
+                estimate_arx(data, n, delta, known_zero_ic=True)
+            assert str(got_error.value) == str(want_error.value)
+
+        options = WnsfOptions(n_grid=grid, max_iter=3, delta_reg=delta,
+                              known_zero_ic=True)
+        got = _identify_doc(data, orders, options)
+        with mock.patch.object(estimator_module, "ArxGrid", _PerOrder):
+            want = _identify_doc(data, orders, options)
+        assert got["failures"] == want["failures"]
+        assert ([(e["n"], e["iter"]) for e in got["trace"]]
+                == [(e["n"], e["iter"]) for e in want["trace"]])
+        tol = 1e-12 * max(1.0, K / 100)
+        for g, w in zip(got["trace"], want["trace"]):
+            assert g["reflected"] == w["reflected"]
+            assert g["regularized"] == w["regularized"]
+            assert _rel(np.array(g["theta"]), np.array(w["theta"])) <= tol
+            assert (g["pem_cost"] == w["pem_cost"]
+                    or math.isclose(g["pem_cost"], w["pem_cost"],
+                                    rel_tol=tol))
+
+
+GRID = (30, 60, 90, 120, 150, 180)
+
+
+def _suffix_delta(data):
+    """A delta_reg whose ridge fires exactly for the orders of GRID from 120
+    up: delta/2 lies between lambda_min(R_120) and lambda_min(R_90)."""
+    lam = [np.linalg.eigvalsh(build_regressors(data, n, True)[0])[0]
+           for n in (90, 120)]
+    assert lam[1] < lam[0]
+    return lam[0] + lam[1]
+
+
+class TestSharedStepOneWork:
+    """What step 1 does for a six-order grid, counted by spies on
+    ``build_regressors`` and on LAPACK's ``dpotrf`` as the arx module calls
+    them."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = Counter()
+        calls.sizes = []  # the order of each matrix dpotrf factored
+
+        def spy(name, fn):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                if name == "dpotrf":
+                    calls.sizes.append(len(args[0]))
+                return fn(*args, **kwargs)
+            return counting
+
+        monkeypatch.setattr(arx_module, "build_regressors",
+                            spy("build_regressors", build_regressors))
+        monkeypatch.setattr(arx_module, "dpotrf",
+                            spy("dpotrf", arx_module.dpotrf))
+        return calls
+
+    @pytest.mark.parametrize("orders", [BJ_ORDERS, ModelOrders(3, 2)])
+    @pytest.mark.parametrize("ridge", [False, True])
+    def test_one_regressor_build_and_three_factorizations(
+            self, counted, bench_closed_cfg, orders, ridge):
+        # the OE orders read R_inv from the shared interleaved factor
+        data = generate(replace(bench_closed_cfg, N=2000))
+        delta = _suffix_delta(data) if ridge else DELTA_REG_DEFAULT
+        counted.clear()
+        counted.sizes.clear()
+        est = wnsf_identify(data, orders, WnsfOptions(
+            n_grid=GRID, max_iter=2, delta_reg=delta, known_zero_ic=True))
+        # the ridge test, the factor of R up to the largest unridged order,
+        # and the factor of R + (delta/2) I when some order is ridged
+        assert counted == {"build_regressors": 1, "dpotrf": 3 if ridge else 2}
+        assert counted.sizes == ([360, 180, 360] if ridge else [360, 360])
+        assert {e["n"] for e in est.trace} == set(GRID)
+        assert all(e["regularized"] == (ridge and e["n"] >= 120)
+                   for e in est.trace)
+
+    def test_per_order_without_known_zero_ic(self, counted,
+                                             bench_closed_cfg):
+        data = generate(replace(bench_closed_cfg, N=2000))
+        wnsf_identify(data, BJ_ORDERS, WnsfOptions(n_grid=GRID, max_iter=2))
+        assert counted == {"build_regressors": 6, "dpotrf": 12}
+
+    def test_order_too_long_fails_alone(self, counted, bench_closed_cfg):
+        # n = 1000 needs N >= 2001; the other orders still share one R
+        data = generate(replace(bench_closed_cfg, N=2000))
+        est = wnsf_identify(data, BJ_ORDERS, WnsfOptions(
+            n_grid=(1000,) + GRID, max_iter=2, known_zero_ic=True))
+        assert est.failures == {1000: "step 1/2 failed: ARX order n=1000 "
+                                      "needs N >= 2n + 1, not N=2000"}
+        assert counted["build_regressors"] == 2  # n = 1000 alone, then 180
+        assert counted["dpotrf"] == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_sums_fail_in_step_one(self):
+        # |u| = 1e160: every lagged product overflows
+        u = 1e160 * np.random.default_rng(0).standard_normal(400)
+        data = DataSet(r=u, u=u, y=u.copy())
+        with pytest.raises(IdentificationError) as err:
+            wnsf_identify(data, BJ_ORDERS, WnsfOptions(
+                n_grid=(20, 40), known_zero_ic=True))
+        assert sorted(err.value.diagnostics) == [20, 40]
+        assert all("not finite" in reason
+                   for reason in err.value.diagnostics.values())
+
