@@ -24,22 +24,23 @@ matrix is positive definite.  The Cholesky factor of the matrix actually
 solved with is kept on the estimate, so step 3 never factors R again.
 The OE step 3 also needs R_reg^-1, formed once per n from that factor.
 
-An n-grid shares this work under ``known_zero_ic`` (``ArxGrid``).  The sums
-then start at t = 1 whatever n is, so in the interleaved lag order
-(y_1 u_1 y_2 u_2 ...) R_n is the leading 2n x 2n block of R at the largest
-order n_max, and the upper Cholesky factor of a leading block is the leading
-block of the factor.  The ridge is decided for every order by one Cholesky
-attempt on R_{n_max} - (delta_reg/2) I: LAPACK's dpotrf reports the pivot
-index k of the first leading minor that is not positive definite, and by
-Cauchy interlacing lambda_min(R_n) does not increase with n, so exactly the
-orders with 2n >= k need the ridge.  The orders without it solve with
-leading blocks of the factor of R at the largest of them, the others with
-leading blocks of the factor of R_{n_max} + (delta_reg/2) I: one R and at
-most three factorizations for the grid.  Each factor has one forward solve,
-and each order a back-solve on its leading block.  The estimates keep the
-standard order [a; b]; the factor kept on them stays in the interleaved
-order, with the permutation beside it.  A lone order is solved the same way
-in the standard order.
+Every order is solved as a member of a group (``ArxGrid``), built once at
+its largest order n_max and solved in the interleaved lag order
+(y_1 u_1 y_2 u_2 ...).  Under ``known_zero_ic`` all orders with 2n < N form
+one group: the sums then start at t = 1 whatever n is, so in that order R_n
+is the leading 2n x 2n block of R_{n_max}, and the upper Cholesky factor of
+a leading block is the leading block of the factor.  Otherwise each order
+is a group of one.  The ridge is decided for every order of a group by one
+Cholesky attempt on R_{n_max} - (delta_reg/2) I: LAPACK's dpotrf reports
+the pivot index k of the first leading minor that is not positive definite,
+and by Cauchy interlacing lambda_min(R_n) does not increase with n, so
+exactly the orders with 2n >= k need the ridge.  The orders without it
+solve with leading blocks of the factor of R at the largest of them, the
+others with leading blocks of the factor of R_{n_max} + (delta_reg/2) I:
+one R and at most three factorizations for a group.  Each factor has one
+forward solve, and each order a back-solve on its leading block.  The
+estimates keep the standard order [a; b]; the factor kept on them is in the
+interleaved order.
 """
 
 from __future__ import annotations
@@ -70,50 +71,37 @@ class ArxEstimate:
     R_reg: np.ndarray        # matrix actually used in the solve
 
     @cached_property
-    def R_chol(self) -> np.ndarray:
-        """Upper Cholesky factor U of R_reg (R_reg = U^T U).  Step 1 keeps
-        the factor it solved with here when that is in the standard order
-        (a lone n); otherwise it is computed on demand."""
-        U, info = dpotrf(self.R_reg, lower=0, clean=1)
+    def factor(self) -> np.ndarray:
+        """The upper Cholesky factor U of R_reg in the interleaved lag order:
+        P R_reg P^T = U^T U, P the permutation from the standard order.
+        Step 1 fills it with the factor it solved with, so step 3 never
+        factors R_reg again; for an estimate built by hand it is computed
+        here."""
+        U, info = dpotrf(_interleave_matrix(self.R_reg), lower=0, clean=1)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"{info}-th leading minor of R_reg is not positive definite")
         return U
 
-    @cached_property
-    def factor(self):
-        """(U, order): the upper Cholesky factor U of R_reg in the lag order
-        ``order``, R_reg[np.ix_(order, order)] = U^T U, with order None for
-        the standard order.  Step 1 fills it with the factor it solved with,
-        so step 3 never factors R_reg again; otherwise it is R_chol."""
-        return self.R_chol, None
-
     def apply_factor(self, Z: np.ndarray) -> np.ndarray:
-        """G Z for a G with G^T G = R_reg: G = U P, U the kept factor and P
-        the permutation to its lag order, so G Z = U Z[order]."""
-        U, order = self.factor
-        return U @ (Z if order is None else Z[order])
+        """G Z for a G with G^T G = R_reg: G = U P, U the kept factor."""
+        return self.factor @ _interleave_rows(Z)
 
     @cached_property
     def R_inv(self) -> np.ndarray:
-        """R_reg^-1 from the kept factor (LAPACK dpotri), formed once per n
-        for the OE step 3; R_reg is not factored again.  With P the
-        permutation to the factor's lag order, R_reg^-1 = P^T dpotri(U) P.
+        """R_reg^-1 = P^T dpotri(U) P from the kept factor (LAPACK dpotri),
+        formed once per n for the OE step 3; R_reg is not factored again.
         Forming the inverse is safe because step 1 keeps
         lambda_min(R_reg) >= delta/2 in both branches (R itself only when
         lambda_min(R) > delta/2, else the positive semidefinite R plus
         (delta/2) I), so ||R_reg^-1||_2 <= 2/delta."""
-        U, order = self.factor
-        inv, info = dpotri(U)
+        inv, info = dpotri(self.factor)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"cannot invert the regressor covariance (dpotri info {info})")
         # dpotri fills the upper triangle only
-        inv = np.triu(inv) + np.triu(inv, 1).T
-        if order is None:
-            return inv
-        back = np.argsort(order)
-        return inv[np.ix_(back, back)]
+        return _interleave_matrix(np.triu(inv) + np.triu(inv, 1).T,
+                                  inverse=True)
 
     @property
     def a(self) -> np.ndarray:
@@ -175,10 +163,19 @@ def build_regressors(data: DataSet, n: int, known_zero_ic: bool = False):
     return R, r_vec
 
 
-def _interleaved(n: int) -> np.ndarray:
-    """The interleaved lag order y_1 u_1 y_2 u_2 ... as indices into the
-    standard order [a_1..a_n, b_1..b_n]."""
-    return np.arange(2 * n).reshape(2, n).T.reshape(-1)
+def _interleave_rows(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """P x for x with 2n rows, P the permutation from the standard lag order
+    [a_1..a_n, b_1..b_n] to the interleaved order y_1 u_1 y_2 u_2 ...;
+    P^T x if ``inverse``.  A strided copy."""
+    split = (-1, 2) if inverse else (2, -1)
+    return x.reshape(*split, *x.shape[1:]).swapaxes(0, 1).reshape(x.shape)
+
+
+def _interleave_matrix(M: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """P M P^T for a 2n x 2n M (P^T M P if ``inverse``)."""
+    n = len(M) // 2
+    split = (n, 2) if inverse else (2, n)
+    return M.reshape(*split, *split).transpose(1, 0, 3, 2).reshape(M.shape)
 
 
 def _ridge_pivot(A: np.ndarray, delta_reg: float) -> int:
@@ -187,13 +184,6 @@ def _ridge_pivot(A: np.ndarray, delta_reg: float) -> int:
     shifted = np.array(A, order="F")
     shifted[np.diag_indices_from(shifted)] -= delta_reg / 2.0
     return int(dpotrf(shifted, lower=0, clean=0, overwrite_a=1)[1])
-
-
-def ridge_needed(R: np.ndarray, delta_reg: float) -> bool:
-    """True unless lambda_min(R) > delta_reg/2, decided by a Cholesky attempt
-    on R - (delta_reg/2) I, which succeeds exactly when that matrix is
-    positive definite."""
-    return _ridge_pivot(R, delta_reg) != 0
 
 
 def _solve_blocks(A, b, sizes, regularized, own_a) -> dict:
@@ -249,49 +239,25 @@ def solve_leading_blocks(A: np.ndarray, b: np.ndarray, sizes,
     return out
 
 
-def _arx_estimate(n, N, R, r_vec, solved, delta_reg, order) -> ArxEstimate:
-    """The estimate of order n from its entry of ``solve_leading_blocks``,
-    solved in the lag order ``order`` (None: the standard order)."""
-    if isinstance(solved, Exception):
-        raise solved
-    x, regularized, U = solved
-    if order is None:
-        eta = x
-    else:
-        eta = np.empty_like(x)
-        eta[order] = x
-    R_reg = R + (delta_reg / 2.0) * np.eye(2 * n) if regularized else R
-    est = ArxEstimate(n=n, eta=eta, R=R, r_vec=r_vec, N=N,
-                      regularized=regularized, R_reg=R_reg)
-    # fill the caches: step 3 never factors R_reg again
-    est.__dict__["factor"] = (U, order)
-    if order is None:
-        est.__dict__["R_chol"] = U
-    return est
-
-
 def estimate_arx(data: DataSet, n: int, delta_reg: float = DELTA_REG_DEFAULT,
                  known_zero_ic: bool = False) -> ArxEstimate:
     """Least-squares ARX estimate with a regularization safeguard: if the
     smallest eigenvalue of R is not above delta_reg/2 (i.e. ||R^-1|| >=
     2/delta_reg), solve with R + (delta_reg/2) I instead.  The Cholesky
     factor of the solve matrix is kept on the estimate for step 3.  This is
-    the lone-order case of ``ArxGrid``: R in the standard order, one
-    Cholesky attempt for the ridge and one factorization."""
-    R, r_vec = build_regressors(data, n, known_zero_ic)
-    solved = solve_leading_blocks(R, r_vec, [2 * n], delta_reg)
-    return _arx_estimate(n, data.N, R, r_vec, solved[2 * n], delta_reg, None)
+    ``ArxGrid`` on a grid of one order."""
+    return ArxGrid(data, (n,), delta_reg, known_zero_ic).estimate(n)
 
 
 class ArxGrid:
     """Step 1 for the orders of an n-grid; ``estimate(n)`` builds the
     estimate of one order when it is asked for.
 
-    Under ``known_zero_ic`` the orders with 2n < N share one R, built at the
-    largest of them and solved in the interleaved lag order by
-    ``solve_leading_blocks`` with at most three factorizations (see the
-    module docstring).  Any other order, and every order without
-    ``known_zero_ic``, is estimated alone by ``estimate_arx``.
+    Every order belongs to a group, built once at its largest order and
+    solved in the interleaved lag order by ``solve_leading_blocks`` (see the
+    module docstring).  Under ``known_zero_ic`` the orders with 2n < N form
+    one group; every other order is a group of one, and one with 2n >= N
+    fails in ``build_regressors``.  Only the group built last is held.
     """
 
     def __init__(self, data: DataSet, n_grid: Sequence[int],
@@ -300,31 +266,39 @@ class ArxGrid:
         self.data = data
         self.delta_reg = delta_reg
         self.known_zero_ic = known_zero_ic
-        feasible = {n for n in n_grid if 2 * n < data.N}
-        self.shared = (sorted(feasible)
-                       if known_zero_ic and len(feasible) > 1 else [])
+        feasible = tuple(sorted({n for n in n_grid if 2 * n < data.N}))
+        self._groups = {n: feasible if known_zero_ic else (n,)
+                        for n in feasible}
+        self._held = None  # (group, R, r, solves) of the group built last
 
-    @cached_property
-    def _solved(self):
-        """R and r at the largest shared order, and the solves of all."""
-        n_max = self.shared[-1]
-        R, r_vec = build_regressors(self.data, n_max, known_zero_ic=True)
-        order = _interleaved(n_max)
-        return R, r_vec, solve_leading_blocks(
-            R[np.ix_(order, order)], r_vec[order],
-            [2 * n for n in self.shared], self.delta_reg)
+    def _solve(self, group):
+        """R and r at the largest order of the group, and the solves of
+        all its orders in the interleaved lag order."""
+        R, r_vec = build_regressors(self.data, group[-1], self.known_zero_ic)
+        return group, R, r_vec, solve_leading_blocks(
+            _interleave_matrix(R), _interleave_rows(r_vec),
+            [2 * n for n in group], self.delta_reg)
 
     def estimate(self, n: int) -> ArxEstimate:
-        if n not in self.shared:
-            return estimate_arx(self.data, n, self.delta_reg,
-                                self.known_zero_ic)
-        R, r_vec, solved = self._solved
-        n_max = self.shared[-1]
+        group = self._groups.get(n, (n,))
+        if self._held is None or self._held[0] != group:
+            self._held = self._solve(group)
+        _, R, r_vec, solves = self._held
+        if isinstance(solves[2 * n], Exception):
+            raise solves[2 * n]
+        x, regularized, U = solves[2 * n]
         # R_n and r_n inside R_{n_max}, in the block view of build_regressors
+        n_max = group[-1]
         R_n = R.reshape(2, n_max, 2, n_max)[:, :n, :, :n].reshape(2 * n, 2 * n)
         r_n = r_vec.reshape(2, n_max)[:, :n].reshape(2 * n)
-        return _arx_estimate(n, self.data.N, R_n, r_n, solved[2 * n],
-                             self.delta_reg, _interleaved(n))
+        R_reg = (R_n + (self.delta_reg / 2.0) * np.eye(2 * n) if regularized
+                 else R_n)
+        est = ArxEstimate(n=n, eta=_interleave_rows(x, inverse=True),
+                          R=R_n, r_vec=r_n, N=self.data.N,
+                          regularized=regularized, R_reg=R_reg)
+        # fill the cache: step 3 never factors R_reg again
+        est.__dict__["factor"] = U
+        return est
 
 
 def true_eta(system: BjModel, n: int) -> np.ndarray:

@@ -217,7 +217,8 @@ def _solve_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least squares via orthogonal factorization; rejects rank deficiency."""
     sol, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
     if rank < A.shape[1]:
-        cond = math.inf if sv[-1] == 0 else sv[0] / sv[-1]
+        with np.errstate(over="ignore"):  # a subnormal sv[-1] gives inf
+            cond = math.inf if sv[-1] == 0 else sv[0] / sv[-1]
         raise RankDeficientError(
             f"rank-deficient reduction matrix (rank {rank} < {A.shape[1]}); "
             "check for non-coprime or over-parametrized orders",
@@ -382,9 +383,9 @@ def wnsf_identify(data: DataSet, orders: ModelOrders,
     re-using the latest estimate in the weighting, and return the candidate
     with minimal prediction-error cost (smaller n, then fewer iterations, on
     ties).  Candidates whose weighting needed root reflection are kept out of
-    the selection unless nothing else is available.  Step 1 is shared by the
-    grid (``ArxGrid``); the reason each failed n failed is kept on the
-    result as ``failures``."""
+    the selection unless nothing else is available.  Step 1 is ``ArxGrid``,
+    shared by the grid under ``known_zero_ic``; the reason each failed n
+    failed is kept on the result as ``failures``."""
     step1 = ArxGrid(data, options.n_grid, options.delta_reg,
                     options.known_zero_ic)
     candidates = []

@@ -42,9 +42,6 @@ class Polynomial:
     def is_monic(self) -> bool:
         return self.coeffs[0] == 1.0
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return poly_mul(self, other)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and np.array_equal(
             self.coeffs, other.coeffs
@@ -108,9 +105,6 @@ class RationalFilter:
     def __post_init__(self):
         if not self.den.is_monic:
             raise ValueError("denominator must be monic")
-
-    def __mul__(self, other: "RationalFilter") -> "RationalFilter":
-        return RationalFilter(self.num * other.num, self.den * other.den)
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}

@@ -11,7 +11,6 @@ from wnsf.arx import (
     ArxGrid,
     build_regressors,
     estimate_arx,
-    ridge_needed,
     solve_leading_blocks,
     true_eta,
     truncation_tail,
@@ -34,6 +33,12 @@ def _arx_truth(a1=-0.5, b1=1.0):
         C=Polynomial([1.0]),
         D=Polynomial([1.0, a1]),
     )
+
+
+def _interleaved_order(n: int) -> np.ndarray:
+    """The interleaved lag order y_1 u_1 y_2 u_2 ... as indices into the
+    standard order [a_1..a_n, b_1..b_n]."""
+    return np.arange(2 * n).reshape(2, n).T.reshape(-1)
 
 
 def _lag_matrix(x: np.ndarray, n: int, rows: int, offset: int) -> np.ndarray:
@@ -118,7 +123,8 @@ class TestRidgePredicate:
         R = (Q * lams) @ Q.T
         R = 0.5 * (R + R.T)
         assert (np.linalg.eigvalsh(R)[0] > delta / 2) == above
-        assert ridge_needed(R, delta) == (not above)
+        b = np.ones(dim)
+        assert solve_leading_blocks(R, b, [dim], delta)[dim][1] == (not above)
 
 
 class TestBuildRegressors:
@@ -200,27 +206,39 @@ class TestEstimateArx:
         assert np.array_equal(est.R_reg, est.R)
 
     def test_factor_kept_for_the_solve_matrix(self):
+        # the kept factor is that of R_reg in the interleaved lag order,
+        # ridged or not, and an estimate built by hand computes the same
         rng = np.random.default_rng(9)
         for u in (rng.standard_normal(200), np.ones(200)):
             est = estimate_arx(_dataset(u, rng.standard_normal(200)), n=3)
-            U = est.R_chol
+            U = est.factor
+            order = _interleaved_order(3)
             assert np.array_equal(U, np.triu(U))
-            assert np.allclose(U.T @ U, est.R_reg, rtol=0, atol=1e-12)
-        lazy = ArxEstimate(n=est.n, eta=est.eta, R=est.R, r_vec=est.r_vec,
-                           N=est.N, regularized=est.regularized,
-                           R_reg=est.R_reg)
-        assert np.array_equal(lazy.R_chol, est.R_chol)
+            assert np.allclose(U.T @ U, est.R_reg[np.ix_(order, order)],
+                               rtol=0, atol=1e-12)
+            lazy = ArxEstimate(n=est.n, eta=est.eta, R=est.R,
+                               r_vec=est.r_vec, N=est.N,
+                               regularized=est.regularized, R_reg=est.R_reg)
+            assert np.array_equal(lazy.factor, U)
 
     def test_lone_order_is_one_cholesky_solve(self):
-        # a lone order keeps its arithmetic bit for bit: the Cholesky factor
-        # of R_reg and a Cholesky solve with it, ridged or not
+        # a lone order is a Cholesky solve with R_reg, ridged or not, in
+        # the interleaved lag order: eta agrees with the standard-order
+        # solve to rounding, 1e-12 of its largest entry times
+        # max(1, cond(R_reg)/100)
         rng = np.random.default_rng(10)
         for u in (rng.standard_normal(300), np.ones(300)):
             est = estimate_arx(_dataset(u, rng.standard_normal(300)), n=6)
-            U = cholesky(est.R_reg)
-            assert est.factor[1] is None
-            assert np.array_equal(est.R_chol, U)
-            assert np.array_equal(est.eta, cho_solve((U, False), est.r_vec))
+            order = _interleaved_order(6)
+            U = est.factor
+            assert np.array_equal(U, np.triu(U))
+            scale = np.max(np.abs(est.R_reg))
+            assert (np.max(np.abs(U.T @ U - est.R_reg[np.ix_(order, order)]))
+                    <= 1e-14 * scale)
+            want = cho_solve((cholesky(est.R_reg), False), est.r_vec)
+            tol = 1e-12 * max(1.0, np.linalg.cond(est.R_reg) / 100)
+            assert (np.max(np.abs(est.eta - want))
+                    <= tol * np.max(np.abs(want)))
 
     def test_zero_delta_on_singular_data_raises(self):
         data = _dataset(np.zeros(50), np.zeros(50))
@@ -323,32 +341,39 @@ class TestArxGrid:
         grid = ArxGrid(data, (12, 5, 30), known_zero_ic=True)
         for n in (5, 12, 30):
             est = grid.estimate(n)
-            U, order = est.factor
-            assert np.array_equal(U, np.triu(U))
+            U, order = est.factor, _interleaved_order(n)
             assert list(order[:4]) == [0, n, 1, n + 1]
-            assert sorted(order) == list(range(2 * n))
-            G = est.apply_factor(np.eye(2 * n))
+            assert np.array_equal(U, np.triu(U))
             scale = np.max(np.abs(est.R_reg))
+            assert (np.max(np.abs(U.T @ U - est.R_reg[np.ix_(order, order)]))
+                    <= 1e-14 * scale)
+            G = est.apply_factor(np.eye(2 * n))
             assert np.max(np.abs(G.T @ G - est.R_reg)) <= 1e-14 * scale
             assert np.max(np.abs(est.R_inv @ est.R_reg
                                  - np.eye(2 * n))) <= 1e-12
             assert np.array_equal(est.R_inv, est.R_inv.T)
 
     def test_each_order_alone_without_known_zero_ic(self):
+        # each order is a group of its own: the same estimate as alone,
+        # whatever else the grid holds and in whatever order it is asked
         rng = np.random.default_rng(12)
         data = _dataset(rng.standard_normal(200), rng.standard_normal(200))
         grid = ArxGrid(data, (8, 4))
-        for n in (8, 4):
+        for n in (8, 4, 8):
             est, alone = grid.estimate(n), estimate_arx(data, n)
-            assert est.factor[1] is None
             assert np.array_equal(est.eta, alone.eta)
             assert np.array_equal(est.R_reg, alone.R_reg)
+            assert np.array_equal(est.factor, alone.factor)
 
     def test_one_feasible_order_is_estimated_alone(self):
-        # n = 100 needs N >= 201, so n = 5 is a grid of one
+        # n = 100 needs N >= 201, so n = 5 is a grid of one, and n = 100
+        # fails alone with the message of build_regressors
         rng = np.random.default_rng(13)
         data = _dataset(rng.standard_normal(150), rng.standard_normal(150))
-        est = ArxGrid(data, (5, 100), known_zero_ic=True).estimate(5)
+        grid = ArxGrid(data, (5, 100), known_zero_ic=True)
+        est = grid.estimate(5)
         alone = estimate_arx(data, 5, known_zero_ic=True)
-        assert est.factor[1] is None
         assert np.array_equal(est.eta, alone.eta)
+        assert np.array_equal(est.factor, alone.factor)
+        with pytest.raises(ValueError, match=r"n=100 needs N >= 2n \+ 1"):
+            grid.estimate(100)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -25,6 +26,7 @@ from wnsf.estimator import (
     RankDeficientError,
     ThetaEstimate,
     WnsfOptions,
+    _solve_ls,
     apply_T_inverse,
     build_Q,
     build_T,
@@ -202,6 +204,16 @@ class TestStep2:
             step2_ls(arx, ModelOrders(1, 2))
         assert err.value.cond is None or err.value.cond > 1e10
 
+    def test_subnormal_singular_value_gives_infinite_cond(self):
+        # sv[0] / sv[-1] overflowed with a RuntimeWarning when the last
+        # singular value was subnormal; the condition number is inf
+        A = np.array([[1.0, 0.0], [0.0, 1e-310], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficientError) as err:
+                _solve_ls(A, np.ones(3))
+        assert err.value.cond == math.inf
+
 
 class TestStep3:
     def test_weighting_scale_invariance(self, bench_system, bench_closed_cfg):
@@ -265,7 +277,7 @@ def _step3_wls_oe_dense(arx: ArxEstimate, theta_prev, orders: ModelOrders):
     n = arx.n
     t_bar = np.hstack([-toeplitz_matrix(model.L, n, n),
                        toeplitz_matrix(model.F, n, n)])
-    V = solve_triangular(arx.R_chol, t_bar.T, trans="T")
+    V = solve_triangular(cholesky(arx.R_reg), t_bar.T, trans="T")
     S_w = V.T @ V
     Ls = cholesky(0.5 * (S_w + S_w.T), lower=True)
     A = solve_triangular(Ls, build_Q(arx.eta, orders)[n:, :], lower=True)
@@ -348,7 +360,7 @@ class TestStep3OeFiltered:
         want = step3_wls_oe(arx, truth, orders).theta
         bare = ArxEstimate(n=n, eta=arx.eta, R=arx.R, r_vec=arx.r_vec,
                            N=arx.N, regularized=False, R_reg=arx.R_reg)
-        bare.__dict__.update(R_inv=arx.R_inv, R_chol=None)
+        bare.__dict__.update(R_inv=arx.R_inv, factor=None)
         shapes = []
 
         def recording(p, rows, cols):
@@ -371,7 +383,7 @@ class TestStep3OeFiltered:
     def test_singular_factor_raises_linalg_error(self):
         arx = ArxEstimate(n=1, eta=np.zeros(2), R=np.eye(2), r_vec=np.zeros(2),
                           N=10, regularized=False, R_reg=np.eye(2))
-        arx.__dict__["R_chol"] = np.array([[1.0, 0.5], [0.0, 0.0]])
+        arx.__dict__["factor"] = np.array([[1.0, 0.5], [0.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
             arx.R_inv
 
