@@ -41,6 +41,16 @@ one R and at most three factorizations for a group.  Each factor has one
 forward solve, and each order a back-solve on its leading block.  The
 estimates keep the standard order [a; b]; the factor kept on them is in the
 interleaved order.
+
+The factor kept on an estimate is an F-contiguous copy of its leading
+block, and step 3 applies it with the BLAS triangular multiply dtrmm of
+scipy, the library that factored it, never with numpy's ``@``.  The numpy
+and scipy wheels each bundle their own OpenBLAS with its own thread pool
+(numpy: scipy-openblas64; scipy: scipy-openblas32).  Handing the step-3
+product to numpy between scipy's factorizations makes the two pools contend
+for the cores: on 2 vCPUs that product and the next dpotrf each took several
+times as long as with one pool.  dtrmm also does half the flops of a
+general product, and an F-contiguous factor is passed to it without a copy.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .lti import BjModel, RationalFilter, impulse_response, is_stable, poly_mul
@@ -74,9 +84,11 @@ class ArxEstimate:
     def factor(self) -> np.ndarray:
         """The upper Cholesky factor U of R_reg in the interleaved lag order:
         P R_reg P^T = U^T U, P the permutation from the standard order.
-        Step 1 fills it with the factor it solved with, so step 3 never
-        factors R_reg again; for an estimate built by hand it is computed
-        here."""
+        Step 1 fills it with an F-contiguous copy of the factor it solved
+        with, so step 3 never factors R_reg again; for an estimate built by
+        hand it is computed here by dpotrf, which returns it F-ordered.
+        F order lets scipy's BLAS take it without a copy (see
+        ``apply_factor``)."""
         U, info = dpotrf(_interleave_matrix(self.R_reg), lower=0, clean=1)
         if info != 0:
             raise np.linalg.LinAlgError(
@@ -84,8 +96,14 @@ class ArxEstimate:
         return U
 
     def apply_factor(self, Z: np.ndarray) -> np.ndarray:
-        """G Z for a G with G^T G = R_reg: G = U P, U the kept factor."""
-        return self.factor @ _interleave_rows(Z)
+        """G Z for a 2-D Z, G = U P with G^T G = R_reg, U the kept factor.
+
+        The product is scipy's dtrmm (triangular, half the flops of a
+        general product), not numpy's ``@``: the factor comes from scipy's
+        OpenBLAS (scipy-openblas32), and a numpy product would run in
+        numpy's own bundled OpenBLAS (scipy-openblas64), whose thread pool
+        then contends with scipy's (see the module docstring)."""
+        return dtrmm(1.0, self.factor, _interleave_rows(Z))
 
     @cached_property
     def R_inv(self) -> np.ndarray:
@@ -296,8 +314,10 @@ class ArxGrid:
         est = ArxEstimate(n=n, eta=_interleave_rows(x, inverse=True),
                           R=R_n, r_vec=r_n, N=self.data.N,
                           regularized=regularized, R_reg=R_reg)
-        # fill the cache: step 3 never factors R_reg again
-        est.__dict__["factor"] = U
+        # fill the cache: step 3 never factors R_reg again.  U is a strided
+        # leading block of the group's factor; the F-contiguous copy is
+        # what dtrmm takes without copying it again on every call
+        est.__dict__["factor"] = np.asfortranarray(U)
         return est
 
 

@@ -353,6 +353,33 @@ class TestArxGrid:
                                  - np.eye(2 * n))) <= 1e-12
             assert np.array_equal(est.R_inv, est.R_inv.T)
 
+    def test_factor_applied_as_u_p_z(self):
+        # the kept factor is F-contiguous, also for a grid order below the
+        # largest, and apply_factor(Z) is U P Z for every way an estimate
+        # gets its factor: plain or ridged, grid member or alone, computed
+        # lazily or set by hand in C order
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal(300)
+        for u, ridged in ((rng.standard_normal(300), False),
+                          (np.zeros(300), True)):
+            data = _dataset(u, y)
+            member = ArxGrid(data, (4, 9), known_zero_ic=True).estimate(4)
+            alone = estimate_arx(data, 6)
+            fields = {name: getattr(alone, name) for name in
+                      ("n", "eta", "R", "r_vec", "N", "regularized", "R_reg")}
+            lazy = ArxEstimate(**fields)
+            c_ordered = ArxEstimate(**fields)
+            c_ordered.__dict__["factor"] = np.ascontiguousarray(alone.factor)
+            assert not c_ordered.factor.flags.f_contiguous
+            for est in (member, alone, lazy, c_ordered):
+                assert est.regularized == ridged
+                if est is not c_ordered:
+                    assert est.factor.flags.f_contiguous
+                Z = rng.standard_normal((2 * est.n, 7))
+                want = est.factor @ Z[_interleaved_order(est.n)]
+                assert (np.max(np.abs(est.apply_factor(Z) - want))
+                        <= 1e-13 * np.max(np.abs(want)))
+
     def test_each_order_alone_without_known_zero_ic(self):
         # each order is a group of its own: the same estimate as alone,
         # whatever else the grid holds and in whatever order it is asked
