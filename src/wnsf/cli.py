@@ -10,6 +10,9 @@ that sets a config key to that key (``--seed``: ``experiment.seed``; the
 key's schema rule, into a copy of the config (for ``identify``, an empty
 one), and every command then reads only that document.
 
+Every command runs with one BLAS thread (``blas.single_thread``), so its
+outputs do not depend on the core count.
+
 Exit codes: 0 success, 2 config error, 3 simulation infeasible,
 4 identification failed, 5 bound computation failed.
 """
@@ -28,6 +31,7 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 
+from . import blas
 from .crb import (
     GRID_SIZE_DEFAULT,
     NonInformativeError,
@@ -498,7 +502,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with blas.single_thread():
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
