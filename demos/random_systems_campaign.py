@@ -6,7 +6,9 @@ second-order noise model.  A small static gain keeps the loop stable for
 most draws (unstable combinations are skipped); the noise level is rescaled
 per realization so the signal-to-noise ratio is exactly 2.  The ARX order n
 and the weighted iteration are selected automatically by prediction-error
-cost; FIT quartiles over the campaign are printed.
+cost; FIT quartiles over the campaign are printed.  The campaign runs at
+one BLAS thread (``wnsf.blas.single_thread``), so what it prints does not
+depend on the core count.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from wnsf import (
     random_system,
     wnsf_identify,
 )
+from wnsf.blas import single_thread
 from wnsf.metrics import fit_of_models
 from wnsf.simulate import UnstableLoopError, generate
 
@@ -60,4 +63,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with single_thread():
+        main()

@@ -247,10 +247,7 @@ def solve_leading_blocks(A: np.ndarray, b: np.ndarray, sizes,
     if plain:
         m = max(plain)
         out.update(_solve_blocks(A[:m, :m], b, plain, False, False))
-    if ridged and delta_reg == 0.0:
-        out.update({k: np.linalg.LinAlgError(
-            "singular regressor matrix and delta_reg=0") for k in ridged})
-    elif ridged:
+    if ridged:
         shifted = np.array(A, order="F")
         shifted[np.diag_indices_from(shifted)] += delta_reg / 2.0
         out.update(_solve_blocks(shifted, b, ridged, True, True))
@@ -333,10 +330,3 @@ def true_eta(system: BjModel, n: int) -> np.ndarray:
     a = impulse_response(a_filter, n + 1)[1:]
     b = impulse_response(b_filter, n + 1)[1:]
     return np.concatenate([a, b])
-
-
-def truncation_tail(system: BjModel, n: int, horizon: int = 20000) -> float:
-    """d(n) = sum_{k>n} |a_k| + |b_k|, evaluated on a long finite horizon."""
-    full = true_eta(system, horizon)
-    a, b = full[:horizon], full[horizon:]
-    return float(np.sum(np.abs(a[n:])) + np.sum(np.abs(b[n:])))

@@ -291,17 +291,6 @@ def wnsf_settings_from(doc: dict):
     return ModelOrders(*map(int, sec["orders"])), WnsfOptions(**options)
 
 
-def parse_orders(text: str) -> ModelOrders:
-    """'m_f,m_l,m_c,m_d', checked by the rule of ``wnsf.orders``."""
-    return ModelOrders(*_flag_value("--orders", text))
-
-
-def parse_n_grid(text: str):
-    """Either a comma list '50,100,150' or a range 'start:stop[:step]'
-    (stop inclusive); checked by the rule of ``wnsf.n_grid``."""
-    return tuple(_flag_value("--n-grid", text))
-
-
 @contextlib.contextmanager
 def _writing(flag: str):
     """Report a failure to write the outputs named by ``flag`` as a config

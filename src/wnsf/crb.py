@@ -3,11 +3,12 @@
 Every information matrix is one quadrature, ``_integrate``, of
 (1/2pi) int A Phi_z A* dw with Phi_z the spectrum of [u e]^T: M_CR takes
 A = Omega; M_CL the dynamic rows of Omega against the reference-only input
-spectrum; Rbar^n takes A = Lambda_n; and Mbar^n = Z^T Rbar^n Z, Z = T^-1 Q,
-takes A = Z^T Lambda_n, so Rbar^n is never formed.  T^-1 is applied to Q
-by filtering with 1/C and 1/F (``estimator.apply_T_inverse``), not by
-forming T.  The rule is trapezoidal on a uniform grid over [0, pi];
-conjugate symmetry gives the full-circle value as twice the real part.
+spectrum; and Mbar^n = Z^T Rbar^n Z, Z = T^-1 Q, takes A = Z^T Lambda_n
+(Lambda_n maps [u e]^T to the ARX regressor), so the limit regressor
+covariance Rbar^n is never formed.  T^-1 is applied to Q by filtering with
+1/C and 1/F (``estimator.apply_T_inverse``), not by forming T.  The rule
+is trapezoidal on a uniform grid over [0, pi]; conjugate symmetry gives the
+full-circle value as twice the real part.
 
 The r -> u filter comes from ``simulate.reference_path``, the one place that
 defines the loop paths, so the bounds describe the same experiment that
@@ -193,14 +194,6 @@ def compute_mcl(sm: SpectrumModel,
     phi_u_r = _reference_input_spectrum(sm, omega)[:, None, None]
     return _positive_definite(_integrate(Om, phi_u_r, w),
                               "reference-only information matrix")
-
-
-def rbar_matrix(sm: SpectrumModel, n: int,
-                grid_size: int = GRID_SIZE_DEFAULT) -> np.ndarray:
-    """Limit regressor covariance Rbar^n: the quadrature with A = Lambda_n."""
-    omega, w = _quad_weights(grid_size)
-    Lam = _lambda_projected(np.eye(2 * n), sm, omega)
-    return _integrate(Lam, phi_z(sm, omega), w)
 
 
 def mbar_limit(sm: SpectrumModel, n: int,

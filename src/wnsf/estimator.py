@@ -5,11 +5,12 @@ Step 2 solves the over-determined Toeplitz system eta = Q(eta) theta by least
 squares.  Step 3 re-solves it with the statistically optimal weighting
 W = T^-T R T^-1 built from the previous parameter estimate, and may be
 iterated.  T is block lower-triangular Toeplitz in C, L and F, so T^-1 is
-applied by filtering with 1/C and 1/F (``apply_T_inverse``, given the model
-that the step-3 guard built and found stable); the dense T of ``build_T`` is
-only a reference for the tests.  Without a noise model (output error) the
-weighting is (Tbar R^-1 Tbar^T)^-1, Tbar = [-Tl  Tf]: R^-1 is formed once per
-n (``ArxEstimate.R_inv``) and Tbar R^-1 Tbar^T is two FIR filterings of its
+applied by filtering with 1/C and 1/F (``apply_T_inverse``); step 3 first
+reflects the unstable roots of the estimate it weights with
+(``reflect_unstable``).  The dense T of ``build_T`` is only a reference for
+the tests.  Without a noise model (output error) the weighting is
+(Tbar R^-1 Tbar^T)^-1, Tbar = [-Tl  Tf]: R^-1 is formed once per n
+(``ArxEstimate.R_inv``) and Tbar R^-1 Tbar^T is two FIR filterings of its
 columns, by L and by F, so Tbar is never formed either.  The ARX order n and
 the iteration are selected by the quadratic prediction-error cost.
 """
@@ -239,23 +240,26 @@ def step2_ls(arx: ArxEstimate, orders: ModelOrders) -> ThetaEstimate:
 
 def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
               orders: ModelOrders) -> ThetaEstimate:
-    """Weighted re-estimation with W = T^-T R T^-1 built at theta_prev.
+    """Weighted re-estimation with W = T^-T R T^-1 built at theta_prev,
+    whose unstable roots are reflected first (``reflected`` on the result).
 
     W is never formed: with R = G^T G (G from the factor kept on ``arx``)
     the problem is the plain least squares of (G T^-1 Q, G T^-1 eta), and
     T^-1 is applied to [Q | eta] in one filtering pass.
     """
-    model = _weighting_model(theta_prev, orders)
+    model, reflected = _weighting_model(theta_prev, orders)
     X = np.column_stack([build_Q(arx.eta, orders), arx.eta])
     GZ = arx.apply_factor(apply_T_inverse(model, X))
     theta = _solve_ls(GZ[:, :-1], GZ[:, -1])
-    return ThetaEstimate(theta, orders, n_used=arx.n, iterations=1)
+    return ThetaEstimate(theta, orders, n_used=arx.n, iterations=1,
+                         reflected=reflected)
 
 
 def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
                  orders: ModelOrders) -> ThetaEstimate:
     """No-noise-model variant: only the plant relations are kept and the
-    weighting is S_w^-1, S_w = Tbar R^-1 Tbar^T with Tbar = [-Tl  Tf].
+    weighting is S_w^-1, S_w = Tbar R^-1 Tbar^T with Tbar = [-Tl  Tf],
+    built at theta_prev after ``reflect_unstable`` as in ``step3_wls``.
 
     Tbar is never formed.  Tf X is the columns of X filtered by F and cut at
     n rows (Tl X likewise by L), so with R^-1 from ``arx.R_inv`` (formed once
@@ -264,7 +268,7 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
     """
     if not orders.is_oe:
         raise ValueError("OE step requires m_c = m_d = 0")
-    model = _weighting_model(theta_prev, orders)
+    model, reflected = _weighting_model(theta_prev, orders)
     n = arx.n
     Q2 = build_Q(arx.eta, orders)[n:, :]
     f_filter, l_filter = RationalFilter(model.F), RationalFilter(model.L)
@@ -282,23 +286,22 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
     A = solve_triangular(Ls, Q2, lower=True)
     b = solve_triangular(Ls, arx.b, lower=True)
     theta = _solve_ls(A, b)
-    return ThetaEstimate(theta, orders, n_used=arx.n, iterations=1)
+    return ThetaEstimate(theta, orders, n_used=arx.n, iterations=1,
+                         reflected=reflected)
 
 
-def _weighting_model(theta: np.ndarray, orders: ModelOrders) -> BjModel:
-    """The model step 3 weights with; its F and C must be stable."""
-    model = orders.model(theta)
-    if not (is_stable(model.F)[0] and is_stable(model.C)[0]):
-        raise ValueError(
-            "unstable weighting parameters; reflect the roots before step 3"
-        )
-    return model
+def _weighting_model(theta: np.ndarray, orders: ModelOrders):
+    """The model step 3 weights with, theta's after ``reflect_unstable``,
+    and whether that reflected a root."""
+    theta, reflected = reflect_unstable(theta, orders)
+    return orders.model(theta), reflected
 
 
 def reflect_unstable(theta: np.ndarray, orders: ModelOrders):
     """Reflect the roots of F and C that ``is_stable`` rejects
     (|z| >= 1 - TOL_STAB) to 1/conj(root), clamped to magnitude
-    ``REFLECT_CLAMP``.  Returns (theta, changed)."""
+    ``REFLECT_CLAMP``.  Returns (theta, changed).  Step 3 calls it on the
+    estimate it weights with."""
     model = orders.model(theta)
     changed = False
 
@@ -355,13 +358,12 @@ def _identify_order(step1: ArxGrid, n: int, data: DataSet,
     theta_prev = current.theta
     any_reflection = False
     for it in range(1, options.max_iter + 1):
-        weight_theta, reflected = reflect_unstable(theta_prev, orders)
-        any_reflection = any_reflection or reflected
         try:
-            est = step3(arx, weight_theta, orders)
+            est = step3(arx, theta_prev, orders)
         except (np.linalg.LinAlgError, ValueError) as exc:
             failures.setdefault(n, f"step 3 failed at iter {it}: {exc}")
             break
+        any_reflection = any_reflection or est.reflected
         est.iterations = it
         est.step2_theta = step2_theta
         est.reflected = any_reflection

@@ -13,10 +13,16 @@ from wnsf.arx import (
     estimate_arx,
     solve_leading_blocks,
     true_eta,
-    truncation_tail,
 )
 from wnsf.lti import BjModel, Polynomial, RationalFilter, impulse_response
 from wnsf.simulate import DataSet, LoopConfig, generate
+
+
+def truncation_tail(system: BjModel, n: int, horizon: int = 20000) -> float:
+    """d(n) = sum_{k>n} |a_k| + |b_k|, evaluated on a long finite horizon."""
+    full = true_eta(system, horizon)
+    a, b = full[:horizon], full[horizon:]
+    return float(np.sum(np.abs(a[n:])) + np.sum(np.abs(b[n:])))
 
 
 def _dataset(u, y):

@@ -15,14 +15,12 @@ from wnsf.cli import (
     EXIT_OK,
     EXIT_SIMULATION,
     ConfigError,
+    _flag_value,
     loop_config_from,
     main,
-    parse_n_grid,
-    parse_orders,
     with_flags,
 )
 from wnsf.crb import SpectrumModel, compute_mcr
-from wnsf.estimator import ModelOrders
 from wnsf.lti import BjModel
 from wnsf.metrics import fit_of_models
 from wnsf.simulate import DataSet, LoopConfig, generate
@@ -52,22 +50,23 @@ def _write_config(tmp_path, doc, name="config.json"):
 
 class TestArgumentParsing:
     def test_range_syntax(self):
-        assert parse_n_grid("50:300:50") == (50, 100, 150, 200, 250, 300)
+        assert _flag_value("--n-grid", "50:300:50") == [50, 100, 150, 200,
+                                                         250, 300]
 
     def test_two_part_range(self):
-        assert parse_n_grid("3:6") == (3, 4, 5, 6)
+        assert _flag_value("--n-grid", "3:6") == [3, 4, 5, 6]
 
     def test_comma_list(self):
-        assert parse_n_grid("50,100,150") == (50, 100, 150)
+        assert _flag_value("--n-grid", "50,100,150") == [50, 100, 150]
 
     def test_bad_range(self):
         with pytest.raises(ConfigError):
-            parse_n_grid("300:50:50")
+            _flag_value("--n-grid", "300:50:50")
 
     def test_orders(self):
-        assert parse_orders("2,2,1,1") == ModelOrders(2, 2, 1, 1)
+        assert _flag_value("--orders", "2,2,1,1") == [2, 2, 1, 1]
         with pytest.raises(ConfigError):
-            parse_orders("2,2,1")
+            _flag_value("--orders", "2,2,1")
 
 
 class TestSimulateCommand:

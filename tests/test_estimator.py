@@ -230,12 +230,20 @@ class TestStep3:
         est = step3_wls(arx, bench_system.theta, BJ_ORDERS)
         assert np.max(np.abs(est.theta - bench_system.theta)) < 1e-5
 
-    def test_unstable_weighting_rejected(self, bench_system):
+    @pytest.mark.parametrize("oe", [False, True])
+    def test_unstable_weighting_reflected(self, bench_system, oe):
+        # step 3 weights with the reflection of an unstable theta_prev
+        orders = ModelOrders(2, 2) if oe else BJ_ORDERS
+        step3 = step3_wls_oe if oe else step3_wls
         arx = _exact_arx(bench_system, 20)
-        bad = bench_system.theta.copy()
+        good = bench_system.theta[:orders.dim]
+        bad = good.copy()
         bad[0] = -2.5  # F root outside the unit circle
-        with pytest.raises(ValueError):
-            step3_wls(arx, bad, BJ_ORDERS)
+        got = step3(arx, bad, orders)
+        want = step3(arx, reflect_unstable(bad, orders)[0], orders)
+        assert got.reflected and not want.reflected
+        assert np.array_equal(got.theta, want.theta)
+        assert not step3(arx, good, orders).reflected
 
     def test_oe_noise_free_recovery(self):
         sys = BjModel(L=Polynomial([0.0, 1.0, 0.2]),
@@ -404,7 +412,7 @@ class TestReflection:
 
     def test_root_inside_stability_margin_reflected(self, bench_system):
         # |z| = 1 - 1e-10 fails is_stable (|z| < 1 - TOL_STAB), so reflection
-        # must fire or step 3 rejects the weighting
+        # must fire and leave a weighting that step 3 can filter with
         theta = bench_system.theta.copy()
         theta[4] = -(1.0 - 1e-10)  # C = 1 - (1 - 1e-10) q^-1
         new, changed = reflect_unstable(theta, BJ_ORDERS)
@@ -450,6 +458,17 @@ class TestPemCost:
 
 
 class TestIdentify:
+    def test_four_root_tests_per_iterate(self, bench_closed_cfg):
+        # step 3 tests F and C of the estimate it weights with, pem_cost
+        # those of the new iterate; nothing tests them a third time
+        data = generate(replace(bench_closed_cfg, N=2000))
+        options = WnsfOptions(n_grid=(30, 50), max_iter=5)
+        with mock.patch.object(estimator_module, "is_stable",
+                               wraps=is_stable) as spy:
+            est = wnsf_identify(data, BJ_ORDERS, options)
+        assert len(est.trace) > 2
+        assert spy.call_count == 4 * len(est.trace)
+
     def test_degenerate_grid_is_one_weighted_pass(self, bench_closed_cfg):
         data = generate(bench_closed_cfg)
         options = WnsfOptions(n_grid=(50,), max_iter=1, known_zero_ic=True)
