@@ -1,9 +1,9 @@
 """High-order ARX estimation by least squares (step 1).
 
-The regressor is phi_t = [-y_{t-1} ... -y_{t-n}  u_{t-1} ... u_{t-n}]; the
-normal-equation matrices R = (1/N) sum phi phi^T and r = (1/N) sum phi y are
-retained because the weighted step needs R.  The sums run over
-t = t0 .. N with zero samples before t = 1.
+The regressor is phi_t = [-y_{t-1} ... -y_{t-n}  u_{t-1} ... u_{t-n}], and
+eta solves the normal equations R eta = r, R = (1/N) sum phi phi^T and
+r = (1/N) sum phi y.  The sums run over t = t0 .. N with zero samples
+before t = 1.
 
 phi is never formed.  With x^0 = -y and x^1 = u, block (a, b) of N R is
 S[i, j] = sum_t x^a_{t-1-i} x^b_{t-1-j}, and shifting both lags by one
@@ -20,9 +20,10 @@ correlation in O(N log N); the rest of R costs O(n^2).
 A small ridge term is added when R is close to singular: R is used as it is
 only if lambda_min(R) > delta_reg/2.  That predicate is decided by a
 Cholesky attempt on R - (delta_reg/2) I, which succeeds exactly when that
-matrix is positive definite.  The Cholesky factor of the matrix actually
-solved with is kept on the estimate, so step 3 never factors R again.
-The OE step 3 also needs R_reg^-1, formed once per n from that factor.
+matrix is positive definite.  The estimate keeps eta, the Cholesky factor
+of the matrix R_reg actually solved with and whether the ridge fired, not
+R or r: step 3 reads R only through that factor, and the OE step 3 forms
+R_reg^-1 from it once per n.
 
 Every order is solved as a member of a group (``ArxGrid``), built once at
 its largest order n_max and solved in the interleaved lag order
@@ -72,28 +73,15 @@ DELTA_REG_DEFAULT = 1e-6
 
 @dataclass(frozen=True)
 class ArxEstimate:
+    """What steps 2 and 3 read of step 1.  ``factor`` is the upper Cholesky
+    factor U of R_reg in the interleaved lag order, P R_reg P^T = U^T U, P
+    the permutation from the standard order; step 1 keeps it F-contiguous,
+    as scipy's BLAS takes it without a copy (see ``apply_factor``)."""
+
     n: int
     eta: np.ndarray          # [a_1..a_n, b_1..b_n]
-    R: np.ndarray            # 2n x 2n sample regressor covariance
-    r_vec: np.ndarray
-    N: int
+    factor: np.ndarray
     regularized: bool
-    R_reg: np.ndarray        # matrix actually used in the solve
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """The upper Cholesky factor U of R_reg in the interleaved lag order:
-        P R_reg P^T = U^T U, P the permutation from the standard order.
-        Step 1 fills it with an F-contiguous copy of the factor it solved
-        with, so step 3 never factors R_reg again; for an estimate built by
-        hand it is computed here by dpotrf, which returns it F-ordered.
-        F order lets scipy's BLAS take it without a copy (see
-        ``apply_factor``)."""
-        U, info = dpotrf(_interleave_matrix(self.R_reg), lower=0, clean=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"{info}-th leading minor of R_reg is not positive definite")
-        return U
 
     def apply_factor(self, Z: np.ndarray) -> np.ndarray:
         """G Z for a 2-D Z, G = U P with G^T G = R_reg, U the kept factor.
@@ -122,20 +110,8 @@ class ArxEstimate:
                                   inverse=True)
 
     @property
-    def a(self) -> np.ndarray:
-        return self.eta[: self.n]
-
-    @property
     def b(self) -> np.ndarray:
         return self.eta[self.n:]
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "eta": self.eta.tolist(),
-            "N": self.N,
-            "regularized": self.regularized,
-        }
 
 
 def build_regressors(data: DataSet, n: int, known_zero_ic: bool = False):
@@ -284,13 +260,13 @@ class ArxGrid:
         feasible = tuple(sorted({n for n in n_grid if 2 * n < data.N}))
         self._groups = {n: feasible if known_zero_ic else (n,)
                         for n in feasible}
-        self._held = None  # (group, R, r, solves) of the group built last
+        self._held = None  # (group, solves) of the group built last
 
     def _solve(self, group):
-        """R and r at the largest order of the group, and the solves of
-        all its orders in the interleaved lag order."""
+        """The solves of all orders of the group in the interleaved lag
+        order, from R and r at its largest order."""
         R, r_vec = build_regressors(self.data, group[-1], self.known_zero_ic)
-        return group, R, r_vec, solve_leading_blocks(
+        return group, solve_leading_blocks(
             _interleave_matrix(R), _interleave_rows(r_vec),
             [2 * n for n in group], self.delta_reg)
 
@@ -298,24 +274,16 @@ class ArxGrid:
         group = self._groups.get(n, (n,))
         if self._held is None or self._held[0] != group:
             self._held = self._solve(group)
-        _, R, r_vec, solves = self._held
-        if isinstance(solves[2 * n], Exception):
-            raise solves[2 * n]
-        x, regularized, U = solves[2 * n]
-        # R_n and r_n inside R_{n_max}, in the block view of build_regressors
-        n_max = group[-1]
-        R_n = R.reshape(2, n_max, 2, n_max)[:, :n, :, :n].reshape(2 * n, 2 * n)
-        r_n = r_vec.reshape(2, n_max)[:, :n].reshape(2 * n)
-        R_reg = (R_n + (self.delta_reg / 2.0) * np.eye(2 * n) if regularized
-                 else R_n)
-        est = ArxEstimate(n=n, eta=_interleave_rows(x, inverse=True),
-                          R=R_n, r_vec=r_n, N=self.data.N,
-                          regularized=regularized, R_reg=R_reg)
-        # fill the cache: step 3 never factors R_reg again.  U is a strided
-        # leading block of the group's factor; the F-contiguous copy is
-        # what dtrmm takes without copying it again on every call
-        est.__dict__["factor"] = np.asfortranarray(U)
-        return est
+        solved = self._held[1][2 * n]
+        if isinstance(solved, Exception):
+            raise solved
+        x, regularized, U = solved
+        # U is a strided leading block of the group's factor; the
+        # F-contiguous copy is what dtrmm takes without copying it again on
+        # every call
+        return ArxEstimate(n=n, eta=_interleave_rows(x, inverse=True),
+                           factor=np.asfortranarray(U),
+                           regularized=regularized)
 
 
 def true_eta(system: BjModel, n: int) -> np.ndarray:

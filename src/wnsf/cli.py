@@ -284,10 +284,7 @@ def wnsf_settings_from(doc: dict):
     sec = doc.get("wnsf")
     if sec is None:
         raise ConfigError("wnsf: section is required for this command")
-    # integer keys may be written as integral numbers (20.0)
-    read = {"n_grid": lambda grid: tuple(map(int, grid)), "max_iter": int}
-    options = {key: read.get(key, lambda v: v)(value)
-               for key, value in sec.items() if key != "orders"}
+    options = {key: value for key, value in sec.items() if key != "orders"}
     return ModelOrders(*map(int, sec["orders"])), WnsfOptions(**options)
 
 

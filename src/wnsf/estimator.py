@@ -134,6 +134,17 @@ class ThetaEstimate:
         }
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a ValueError unless it is integral."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return as_int
+
+
 @dataclass(frozen=True)
 class WnsfOptions:
     n_grid: Sequence[int] = (50, 100, 150, 200, 250, 300)
@@ -143,6 +154,15 @@ class WnsfOptions:
     known_zero_ic: bool = False
 
     def __post_init__(self):
+        # integral values of any type (50.0, numpy integers) become ints,
+        # so the grid indexes arrays and its n serialize to JSON
+        try:
+            grid = tuple(_integer(n, "each n_grid entry") for n in self.n_grid)
+        except TypeError:
+            raise ValueError("n_grid must be a sequence of integers")
+        object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "max_iter",
+                           _integer(self.max_iter, "max_iter"))
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and > 0")
         if not 0 < self.delta_reg < math.inf:

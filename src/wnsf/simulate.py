@@ -69,7 +69,6 @@ class DataSet:
     y: np.ndarray
     e: Optional[np.ndarray] = None
     seed: Optional[int] = None
-    loop_kind: Optional[str] = None
     system: Optional[BjModel] = None
     noise_std: Optional[float] = None   # sigma of e as generated
 
@@ -116,6 +115,10 @@ class DataSet:
             raise ValueError(f"rows have {data.shape[1]} columns, the header "
                              f"{len(header)}")
         cols = {name: data[:, i] for i, name in enumerate(header)}
+        missing = [name for name in ("r", "u", "y") if name not in cols]
+        if missing:
+            raise ValueError("the header has no column "
+                             + ", ".join(repr(name) for name in missing))
         return cls(
             r=cols["r"], u=cols["u"], y=cols["y"], e=cols.get("e")
         )
@@ -219,8 +222,8 @@ def generate(cfg: LoopConfig, r=None) -> DataSet:
         sh = RationalFilter(poly_mul(poly_mul(k.den, system.F), system.C), pd)
         u = u - filter_signal(ksh, e)
         y = filter_signal(r_to_y, r) + filter_signal(sh, e)
-    return DataSet(r=r, u=u, y=y, e=e, seed=cfg.seed, loop_kind=cfg.loop_kind,
-                   system=system, noise_std=sigma)
+    return DataSet(r=r, u=u, y=y, e=e, seed=cfg.seed, system=system,
+                   noise_std=sigma)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from wnsf import (
     BjModel,
@@ -10,6 +11,7 @@ from wnsf import (
     WnsfOptions,
     generate,
 )
+from wnsf.arx import DELTA_REG_DEFAULT, build_regressors
 
 # one line per acceptance criterion, echoed in the terminal summary where
 # output capture cannot swallow it
@@ -95,3 +97,32 @@ def unstable_predictor_record():
     data = generate(LoopConfig(system=orders.model(theta0), N=400,
                                noise_std=0.5, seed=249))
     return data, orders, WnsfOptions(n_grid=(20,), max_iter=1)
+
+
+def interleaved_order(n: int) -> np.ndarray:
+    """The interleaved lag order y_1 u_1 y_2 u_2 ... as indices into the
+    standard order [a_1..a_n, b_1..b_n]."""
+    return np.arange(2 * n).reshape(2, n).T.reshape(-1)
+
+
+def solve_matrices(data, est, delta_reg: float = DELTA_REG_DEFAULT,
+                   known_zero_ic: bool = False):
+    """R_reg and r of the ARX estimate ``est`` of ``data``, rebuilt by
+    ``build_regressors``: R_reg is R, plus (delta_reg/2) I if the ridge
+    fired."""
+    R, r_vec = build_regressors(data, est.n, known_zero_ic)
+    if est.regularized:
+        R = R + (delta_reg / 2.0) * np.eye(2 * est.n)
+    return R, r_vec
+
+
+def interleaved_factor(R_reg: np.ndarray) -> np.ndarray:
+    """The reference for ``ArxEstimate.factor``: the upper Cholesky factor U
+    of R_reg in the interleaved lag order, P R_reg P^T = U^T U, by LAPACK's
+    dpotrf (F-ordered)."""
+    order = interleaved_order(len(R_reg) // 2)
+    U, info = dpotrf(R_reg[np.ix_(order, order)], lower=0, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of R_reg is not positive definite")
+    return U

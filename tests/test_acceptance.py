@@ -30,7 +30,7 @@ from wnsf.lti import BjModel, Polynomial, RationalFilter, toeplitz_matrix
 from wnsf.metrics import McExperiment, fit_of_models, run_monte_carlo
 from wnsf.simulate import DataSet, LoopConfig, generate
 
-from conftest import random_stable_theta
+from conftest import interleaved_factor, random_stable_theta, solve_matrices
 
 BJ_ORDERS = ModelOrders(2, 2, 1, 1)
 CLOSED_TRACE = 1.0259
@@ -181,12 +181,14 @@ def test_criterion_5_exact_algebra_suite():
     cfg = LoopConfig(system=system,
                      controller=RationalFilter(Polynomial([1.0])),
                      N=10000, seed=0)
-    arx = estimate_arx(generate(cfg), 50)
+    data = generate(cfg)
+    arx = estimate_arx(data, 50)
+    R_reg, _ = solve_matrices(data, arx)
     ref = step3_wls(arx, system.theta, BJ_ORDERS).theta
     for c in (1e-6, 1e6):
-        scaled = ArxEstimate(n=arx.n, eta=arx.eta, R=c * arx.R,
-                             r_vec=c * arx.r_vec, N=arx.N,
-                             regularized=arx.regularized, R_reg=c * arx.R_reg)
+        scaled = ArxEstimate(n=arx.n, eta=arx.eta,
+                             factor=interleaved_factor(c * R_reg),
+                             regularized=arx.regularized)
         theta = step3_wls(scaled, system.theta, BJ_ORDERS).theta
         worst["scale"] = max(worst["scale"],
                              float(np.max(np.abs(theta - ref))))
@@ -201,8 +203,7 @@ def test_criterion_6_reduction_recovers_truth_from_exact_coefficients():
     system = _bench_system()
     n = 150
     eta = true_eta(system, n)
-    arx = ArxEstimate(n=n, eta=eta, R=np.eye(2 * n), r_vec=eta.copy(),
-                      N=10000, regularized=False, R_reg=np.eye(2 * n))
+    arx = ArxEstimate(n=n, eta=eta, factor=np.eye(2 * n), regularized=False)
     theta = step2_ls(arx, BJ_ORDERS).theta
     err = float(np.max(np.abs(theta - [-0.5, 0.75, 1.0, 0.1, 0.7, -0.9])))
     _report(6, err < 1e-5, f"max parameter error {err:.2e} (< 1e-5)")

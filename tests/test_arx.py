@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,8 @@ from wnsf.arx import (
 )
 from wnsf.lti import BjModel, Polynomial, RationalFilter, impulse_response
 from wnsf.simulate import DataSet, LoopConfig, generate
+
+from conftest import interleaved_factor, interleaved_order, solve_matrices
 
 
 def truncation_tail(system: BjModel, n: int, horizon: int = 20000) -> float:
@@ -39,12 +41,6 @@ def _arx_truth(a1=-0.5, b1=1.0):
         C=Polynomial([1.0]),
         D=Polynomial([1.0, a1]),
     )
-
-
-def _interleaved_order(n: int) -> np.ndarray:
-    """The interleaved lag order y_1 u_1 y_2 u_2 ... as indices into the
-    standard order [a_1..a_n, b_1..b_n]."""
-    return np.arange(2 * n).reshape(2, n).T.reshape(-1)
 
 
 def _lag_matrix(x: np.ndarray, n: int, rows: int, offset: int) -> np.ndarray:
@@ -202,30 +198,30 @@ class TestEstimateArx:
         rng = np.random.default_rng(4)
         data = _dataset(rng.standard_normal(200), rng.standard_normal(200))
         est = estimate_arx(data, n=5)
-        assert np.max(np.abs(est.R_reg @ est.eta - est.r_vec)) < 1e-10
+        R_reg, r_vec = solve_matrices(data, est)
+        assert np.max(np.abs(R_reg @ est.eta - r_vec)) < 1e-10
 
     def test_plain_and_regularized_coincide_when_well_conditioned(self):
         rng = np.random.default_rng(5)
         data = _dataset(rng.standard_normal(2000), rng.standard_normal(2000))
         est = estimate_arx(data, n=4, delta_reg=1e-6)
         assert not est.regularized
-        assert np.array_equal(est.R_reg, est.R)
+        R, _ = build_regressors(data, 4)
+        assert np.array_equal(est.factor, interleaved_factor(R))
 
     def test_factor_kept_for_the_solve_matrix(self):
         # the kept factor is that of R_reg in the interleaved lag order,
-        # ridged or not, and an estimate built by hand computes the same
+        # ridged or not
         rng = np.random.default_rng(9)
         for u in (rng.standard_normal(200), np.ones(200)):
-            est = estimate_arx(_dataset(u, rng.standard_normal(200)), n=3)
+            data = _dataset(u, rng.standard_normal(200))
+            est = estimate_arx(data, n=3)
+            R_reg, _ = solve_matrices(data, est)
             U = est.factor
-            order = _interleaved_order(3)
+            order = interleaved_order(3)
             assert np.array_equal(U, np.triu(U))
-            assert np.allclose(U.T @ U, est.R_reg[np.ix_(order, order)],
+            assert np.allclose(U.T @ U, R_reg[np.ix_(order, order)],
                                rtol=0, atol=1e-12)
-            lazy = ArxEstimate(n=est.n, eta=est.eta, R=est.R,
-                               r_vec=est.r_vec, N=est.N,
-                               regularized=est.regularized, R_reg=est.R_reg)
-            assert np.array_equal(lazy.factor, U)
 
     def test_lone_order_is_one_cholesky_solve(self):
         # a lone order is a Cholesky solve with R_reg, ridged or not, in
@@ -234,15 +230,17 @@ class TestEstimateArx:
         # max(1, cond(R_reg)/100)
         rng = np.random.default_rng(10)
         for u in (rng.standard_normal(300), np.ones(300)):
-            est = estimate_arx(_dataset(u, rng.standard_normal(300)), n=6)
-            order = _interleaved_order(6)
+            data = _dataset(u, rng.standard_normal(300))
+            est = estimate_arx(data, n=6)
+            R_reg, r_vec = solve_matrices(data, est)
+            order = interleaved_order(6)
             U = est.factor
             assert np.array_equal(U, np.triu(U))
-            scale = np.max(np.abs(est.R_reg))
-            assert (np.max(np.abs(U.T @ U - est.R_reg[np.ix_(order, order)]))
+            scale = np.max(np.abs(R_reg))
+            assert (np.max(np.abs(U.T @ U - R_reg[np.ix_(order, order)]))
                     <= 1e-14 * scale)
-            want = cho_solve((cholesky(est.R_reg), False), est.r_vec)
-            tol = 1e-12 * max(1.0, np.linalg.cond(est.R_reg) / 100)
+            want = cho_solve((cholesky(R_reg), False), r_vec)
+            tol = 1e-12 * max(1.0, np.linalg.cond(R_reg) / 100)
             assert (np.max(np.abs(est.eta - want))
                     <= tol * np.max(np.abs(want)))
 
@@ -263,7 +261,7 @@ class TestEstimateArx:
         u, y = rng.standard_normal(300), rng.standard_normal(300)
         est1 = estimate_arx(_dataset(u, y), n=4)
         est2 = estimate_arx(_dataset(u, 2.0 * y), n=4)
-        assert np.max(np.abs(est1.a - est2.a)) < 1e-9
+        assert np.max(np.abs(est1.eta[:4] - est2.eta[:4])) < 1e-9
         assert np.max(np.abs(2.0 * est1.b - est2.b)) < 1e-9
 
     def test_consistency_for_arx_truth(self):
@@ -313,9 +311,10 @@ class TestTrueEta:
         data = _dataset(rng.standard_normal(400), rng.standard_normal(400))
         est = estimate_arx(data, n=6)
         assert isinstance(est, ArxEstimate)
-        assert est.a.shape == (6,) and est.b.shape == (6,)
-        doc = est.to_json()
-        assert doc["n"] == 6 and len(doc["eta"]) == 12
+        assert [f.name for f in fields(ArxEstimate)] == [
+            "n", "eta", "factor", "regularized"]
+        assert est.n == 6 and est.eta.shape == (12,)
+        assert np.array_equal(est.b, est.eta[6:])
 
 
 class TestSolveLeadingBlocks:
@@ -347,23 +346,24 @@ class TestArxGrid:
         grid = ArxGrid(data, (12, 5, 30), known_zero_ic=True)
         for n in (5, 12, 30):
             est = grid.estimate(n)
-            U, order = est.factor, _interleaved_order(n)
+            R_reg, _ = solve_matrices(data, est, known_zero_ic=True)
+            U, order = est.factor, interleaved_order(n)
             assert list(order[:4]) == [0, n, 1, n + 1]
             assert np.array_equal(U, np.triu(U))
-            scale = np.max(np.abs(est.R_reg))
-            assert (np.max(np.abs(U.T @ U - est.R_reg[np.ix_(order, order)]))
+            scale = np.max(np.abs(R_reg))
+            assert (np.max(np.abs(U.T @ U - R_reg[np.ix_(order, order)]))
                     <= 1e-14 * scale)
             G = est.apply_factor(np.eye(2 * n))
-            assert np.max(np.abs(G.T @ G - est.R_reg)) <= 1e-14 * scale
-            assert np.max(np.abs(est.R_inv @ est.R_reg
+            assert np.max(np.abs(G.T @ G - R_reg)) <= 1e-14 * scale
+            assert np.max(np.abs(est.R_inv @ R_reg
                                  - np.eye(2 * n))) <= 1e-12
             assert np.array_equal(est.R_inv, est.R_inv.T)
 
     def test_factor_applied_as_u_p_z(self):
         # the kept factor is F-contiguous, also for a grid order below the
         # largest, and apply_factor(Z) is U P Z for every way an estimate
-        # gets its factor: plain or ridged, grid member or alone, computed
-        # lazily or set by hand in C order
+        # gets its factor: plain or ridged, grid member or alone, or given
+        # by hand in C order
         rng = np.random.default_rng(14)
         y = rng.standard_normal(300)
         for u, ridged in ((rng.standard_normal(300), False),
@@ -371,18 +371,15 @@ class TestArxGrid:
             data = _dataset(u, y)
             member = ArxGrid(data, (4, 9), known_zero_ic=True).estimate(4)
             alone = estimate_arx(data, 6)
-            fields = {name: getattr(alone, name) for name in
-                      ("n", "eta", "R", "r_vec", "N", "regularized", "R_reg")}
-            lazy = ArxEstimate(**fields)
-            c_ordered = ArxEstimate(**fields)
-            c_ordered.__dict__["factor"] = np.ascontiguousarray(alone.factor)
+            c_ordered = replace(alone,
+                                factor=np.ascontiguousarray(alone.factor))
             assert not c_ordered.factor.flags.f_contiguous
-            for est in (member, alone, lazy, c_ordered):
+            for est in (member, alone, c_ordered):
                 assert est.regularized == ridged
                 if est is not c_ordered:
                     assert est.factor.flags.f_contiguous
                 Z = rng.standard_normal((2 * est.n, 7))
-                want = est.factor @ Z[_interleaved_order(est.n)]
+                want = est.factor @ Z[interleaved_order(est.n)]
                 assert (np.max(np.abs(est.apply_factor(Z) - want))
                         <= 1e-13 * np.max(np.abs(want)))
 
@@ -395,7 +392,6 @@ class TestArxGrid:
         for n in (8, 4, 8):
             est, alone = grid.estimate(n), estimate_arx(data, n)
             assert np.array_equal(est.eta, alone.eta)
-            assert np.array_equal(est.R_reg, alone.R_reg)
             assert np.array_equal(est.factor, alone.factor)
 
     def test_one_feasible_order_is_estimated_alone(self):

@@ -200,6 +200,9 @@ BAD_INPUTS = {
                           "2,2,1,1"], EXIT_CONFIG, "--data"),
     "csv_short_row": (["identify", "--data", "{short}", "--orders",
                        "2,2,1,1"], EXIT_CONFIG, "--data"),
+    # the bare message was "--data: cannot load data: 'r'"
+    "csv_missing_columns": (["identify", "--data", "{missing}", "--orders",
+                             "2,2,1,1"], EXIT_CONFIG, "no column 'r', 'u'\n"),
     "simulate_out_missing_dir": (["simulate", "{cfg}", "--out",
                                   "{tmp}/missing/x.csv"], EXIT_CONFIG,
                                  "--out"),
@@ -290,7 +293,8 @@ def bad_input_paths(tmp_path):
     paths["data"] = str(tmp_path / "data.csv")
     generate(loop_config_from(doc)).to_csv(paths["data"])
     for name, text in (("empty", "t,r,u,y\n"),
-                       ("short", "t,r,u,y\n1,0.1,0.2\n2,0.3,0.4\n")):
+                       ("short", "t,r,u,y\n1,0.1,0.2\n2,0.3,0.4\n"),
+                       ("missing", "t,y\n1,0.1\n2,0.3\n")):
         paths[name] = str(tmp_path / f"{name}.csv")
         Path(paths[name]).write_text(text)
     (tmp_path / "afile").write_text("a regular file")

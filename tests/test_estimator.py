@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from collections import Counter
@@ -47,23 +48,29 @@ from wnsf.lti import (
 )
 from wnsf.simulate import DataSet, LoopConfig, generate
 
-from conftest import random_stable_theta, unstable_predictor_record
+from conftest import (
+    interleaved_factor,
+    random_stable_theta,
+    solve_matrices,
+    unstable_predictor_record,
+)
 
 BJ_ORDERS = ModelOrders(2, 2, 1, 1)
 
 
-def _exact_arx(system, n, N=10000) -> ArxEstimate:
+def _exact_arx(system, n) -> ArxEstimate:
     """ArxEstimate carrying the exact high-order coefficients with an
     identity covariance (enough for the algebraic fixed-point checks)."""
-    eta = true_eta(system, n)
-    return ArxEstimate(n=n, eta=eta, R=np.eye(2 * n), r_vec=eta.copy(),
-                       N=N, regularized=False, R_reg=np.eye(2 * n))
+    return ArxEstimate(n=n, eta=true_eta(system, n), factor=np.eye(2 * n),
+                       regularized=False)
 
 
-def _scaled(arx: ArxEstimate, c: float) -> ArxEstimate:
-    return ArxEstimate(n=arx.n, eta=arx.eta, R=c * arx.R, r_vec=c * arx.r_vec,
-                       N=arx.N, regularized=arx.regularized,
-                       R_reg=c * arx.R_reg)
+def _scaled(data: DataSet, arx: ArxEstimate, c: float) -> ArxEstimate:
+    """``arx``, the estimate of ``data``, with R_reg scaled by c."""
+    R_reg, _ = solve_matrices(data, arx)
+    return ArxEstimate(n=arx.n, eta=arx.eta,
+                       factor=interleaved_factor(c * R_reg),
+                       regularized=arx.regularized)
 
 
 def _oe_noise_free_data(system, N=4000, seed=0) -> DataSet:
@@ -198,8 +205,8 @@ class TestStep2:
         # columns of Q coincide up to sign, so Q loses rank
         n = 10
         eta = np.concatenate([np.zeros(n), np.eye(n)[0]])
-        arx = ArxEstimate(n=n, eta=eta, R=np.eye(2 * n), r_vec=eta, N=1000,
-                          regularized=False, R_reg=np.eye(2 * n))
+        arx = ArxEstimate(n=n, eta=eta, factor=np.eye(2 * n),
+                          regularized=False)
         with pytest.raises(RankDeficientError) as err:
             step2_ls(arx, ModelOrders(1, 2))
         assert err.value.cond is None or err.value.cond > 1e10
@@ -217,9 +224,11 @@ class TestStep2:
 
 class TestStep3:
     def test_weighting_scale_invariance(self, bench_system, bench_closed_cfg):
-        arx = estimate_arx(generate(bench_closed_cfg), n=50)
+        data = generate(bench_closed_cfg)
+        arx = estimate_arx(data, n=50)
         thetas = [
-            step3_wls(_scaled(arx, c), bench_system.theta, BJ_ORDERS).theta
+            step3_wls(_scaled(data, arx, c), bench_system.theta,
+                      BJ_ORDERS).theta
             for c in (1e-6, 1.0, 1e6)
         ]
         assert np.max(np.abs(thetas[0] - thetas[1])) < 1e-12
@@ -264,9 +273,10 @@ class TestStep3:
 
         u = rng.standard_normal(2000)
         y = filter_signal(sys.G, u) + 0.1 * rng.standard_normal(2000)
-        arx = estimate_arx(DataSet(r=u, u=u, y=y), n=40)
+        data = DataSet(r=u, u=u, y=y)
+        arx = estimate_arx(data, n=40)
         t0 = step2_ls(arx, orders).theta
-        thetas = [step3_wls_oe(_scaled(arx, c), t0, orders).theta
+        thetas = [step3_wls_oe(_scaled(data, arx, c), t0, orders).theta
                   for c in (1e-6, 1.0, 1e6)]
         assert np.max(np.abs(thetas[0] - thetas[1])) < 1e-12
         assert np.max(np.abs(thetas[2] - thetas[1])) < 1e-12
@@ -277,15 +287,16 @@ class TestStep3:
             step3_wls_oe(arx, bench_system.theta, BJ_ORDERS)
 
 
-def _step3_wls_oe_dense(arx: ArxEstimate, theta_prev, orders: ModelOrders):
+def _step3_wls_oe_dense(arx: ArxEstimate, R_reg, theta_prev,
+                        orders: ModelOrders):
     """The OE step 3 with the dense Tbar = [-Tl  Tf]: S_w = V^T V for
-    V = G^-T Tbar^T, R = G^T G.  The reference for ``step3_wls_oe``; returns
-    theta and the condition number of the weighted reduction."""
+    V = G^-T Tbar^T, R_reg = G^T G.  The reference for ``step3_wls_oe``;
+    returns theta and the condition number of the weighted reduction."""
     model = orders.model(theta_prev)
     n = arx.n
     t_bar = np.hstack([-toeplitz_matrix(model.L, n, n),
                        toeplitz_matrix(model.F, n, n)])
-    V = solve_triangular(cholesky(arx.R_reg), t_bar.T, trans="T")
+    V = solve_triangular(cholesky(R_reg), t_bar.T, trans="T")
     S_w = V.T @ V
     Ls = cholesky(0.5 * (S_w + S_w.T), lower=True)
     A = solve_triangular(Ls, build_Q(arx.eta, orders)[n:, :], lower=True)
@@ -333,10 +344,11 @@ class TestStep3OeFiltered:
         delta = ridge * np.linalg.eigvalsh(R)[0]
         arx = estimate_arx(data, n, delta_reg=delta)
         assert arx.regularized == (ridge > 2)
+        R_reg, _ = solve_matrices(data, arx, delta)
         weight = random_stable_theta(rng, orders.m_f, orders.m_l, 0, 0)
-        want, cond_a = _step3_wls_oe_dense(arx, weight, orders)
+        want, cond_a = _step3_wls_oe_dense(arx, R_reg, weight, orders)
         got = step3_wls_oe(arx, weight, orders).theta
-        K = cond_a * np.sqrt(np.linalg.cond(arx.R_reg))
+        K = cond_a * np.sqrt(np.linalg.cond(R_reg))
         tol = 1e-12 * max(1.0, K / 100)
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
@@ -351,7 +363,8 @@ class TestStep3OeFiltered:
         arx = estimate_arx(data, n, delta_reg=delta_reg)
         assert arx.regularized == (delta_reg > 1)
         start = step2_ls(arx, orders).theta
-        want, _ = _step3_wls_oe_dense(arx, start, orders)
+        R_reg, _ = solve_matrices(data, arx, delta_reg)
+        want, _ = _step3_wls_oe_dense(arx, R_reg, start, orders)
         got = step3_wls_oe(arx, start, orders).theta
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -366,9 +379,8 @@ class TestStep3OeFiltered:
         arx = estimate_arx(generate(LoopConfig(system=orders.model(truth),
                                                N=400, seed=5)), n)
         want = step3_wls_oe(arx, truth, orders).theta
-        bare = ArxEstimate(n=n, eta=arx.eta, R=arx.R, r_vec=arx.r_vec,
-                           N=arx.N, regularized=False, R_reg=arx.R_reg)
-        bare.__dict__.update(R_inv=arx.R_inv, factor=None)
+        bare = ArxEstimate(n=n, eta=arx.eta, factor=None, regularized=False)
+        bare.__dict__["R_inv"] = arx.R_inv
         shapes = []
 
         def recording(p, rows, cols):
@@ -383,15 +395,15 @@ class TestStep3OeFiltered:
         rng = np.random.default_rng(7)
         G = rng.standard_normal((12, 8))
         R = G.T @ G / 12
-        arx = ArxEstimate(n=4, eta=np.zeros(8), R=R, r_vec=np.zeros(8),
-                          N=12, regularized=False, R_reg=R)
+        arx = ArxEstimate(n=4, eta=np.zeros(8), factor=interleaved_factor(R),
+                          regularized=False)
         assert np.array_equal(arx.R_inv, arx.R_inv.T)
         assert np.max(np.abs(arx.R_inv @ R - np.eye(8))) < 1e-12
 
     def test_singular_factor_raises_linalg_error(self):
-        arx = ArxEstimate(n=1, eta=np.zeros(2), R=np.eye(2), r_vec=np.zeros(2),
-                          N=10, regularized=False, R_reg=np.eye(2))
-        arx.__dict__["factor"] = np.array([[1.0, 0.5], [0.0, 0.0]])
+        arx = ArxEstimate(n=1, eta=np.zeros(2),
+                          factor=np.array([[1.0, 0.5], [0.0, 0.0]]),
+                          regularized=False)
         with pytest.raises(np.linalg.LinAlgError):
             arx.R_inv
 
@@ -708,6 +720,28 @@ class TestOptions:
         with pytest.raises(ValueError, match=r"n_grid repeats n=(50|20)\b"):
             WnsfOptions(n_grid=n_grid, known_zero_ic=True)
 
+    @pytest.mark.parametrize("n_grid", [
+        np.array([50, 100]),                 # raised AttributeError
+        (50.0, 100.0),                       # a TypeError in step 1
+        [np.int64(50), np.int64(100)],       # an unserializable n_used
+    ])
+    def test_integral_grid_becomes_ints(self, bench_system, n_grid):
+        options = WnsfOptions(n_grid=n_grid, max_iter=np.int64(2))
+        assert options.n_grid == (50, 100) and options.max_iter == 2
+        assert {type(n) for n in options.n_grid} == {int}
+        assert type(options.max_iter) is int
+        data = generate(LoopConfig(system=bench_system, N=1000, seed=0))
+        doc = json.loads(json.dumps(
+            wnsf_identify(data, BJ_ORDERS, options).to_json()))
+        assert doc["n_used"] in (50, 100)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_grid": (50.5,)}, {"n_grid": ("50",)}, {"n_grid": (math.inf,)},
+        {"n_grid": 50}, {"max_iter": 2.5}])
+    def test_non_integral_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            WnsfOptions(**kwargs)
+
 
 # -- step 1 shared by an n-grid under known_zero_ic --------------------------
 
@@ -787,11 +821,12 @@ class TestSharedStepOne:
             assert got.regularized == want.regularized
             if got.regularized:
                 ridged.append(n)
-            cond_r = np.linalg.cond(want.R_reg)
+            R_reg, _ = solve_matrices(data, want, delta, known_zero_ic=True)
+            cond_r = np.linalg.cond(R_reg)
             tol = 1e-12 * max(1.0, cond_r / 100)
-            assert _rel(got.R, want.R) <= 1e-12
-            assert _rel(got.r_vec, want.r_vec) <= 1e-12
-            assert _rel(got.R_reg, want.R_reg) <= 1e-12
+            # the grid solved with this order's R_reg: G^T G = R_reg
+            G = got.apply_factor(np.eye(2 * n))
+            assert _rel(G.T @ G, R_reg) <= 1e-12
             assert _rel(got.eta, want.eta) <= tol
             assert _rel(got.R_inv, want.R_inv) <= tol
             if n >= max(orders.m_f, orders.m_l, orders.m_c, orders.m_d):
