@@ -23,6 +23,7 @@ from wnsf import (
     wnsf_identify,
 )
 from wnsf.blas import single_thread
+from wnsf.estimator import IdentificationError
 from wnsf.metrics import fit_of_models
 from wnsf.simulate import UnstableLoopError, generate
 
@@ -48,7 +49,7 @@ def main():
             est = wnsf_identify(
                 data, ORDERS,
                 WnsfOptions(n_grid=(50, 100, 150, 200, 250, 300)))
-        except Exception as exc:  # skip unstable loops / failed fits
+        except (UnstableLoopError, IdentificationError) as exc:
             skipped += 1
             kind = "unstable loop" if isinstance(exc, UnstableLoopError) else "fit failed"
             print(f"  draw skipped ({kind})")

@@ -252,23 +252,22 @@ def _from_json(section: str, cls, body):
         raise ConfigError(f"{section}: {exc}")
 
 
-# (section, key) -> the LoopConfig field it sets and that field's type;
-# integer keys may be written as integral numbers (1e4)
+# (section, key) -> the LoopConfig field it sets
 _LOOP_FIELDS = {
-    ("experiment", "N"): ("N", int),
-    ("experiment", "seed"): ("seed", int),
-    ("experiment", "loop_kind"): ("loop_kind", str),
-    ("reference", "gain"): ("reference_gain", float),
-    ("noise", "std"): ("noise_std", float),
-    ("noise", "snr_target"): ("snr_target", float),
+    ("experiment", "N"): "N",
+    ("experiment", "seed"): "seed",
+    ("experiment", "loop_kind"): "loop_kind",
+    ("reference", "gain"): "reference_gain",
+    ("noise", "std"): "noise_std",
+    ("noise", "snr_target"): "snr_target",
 }
 
 
 def loop_config_from(doc: dict) -> LoopConfig:
     """The loop of a validated config; a key it leaves out keeps the
     ``LoopConfig`` default."""
-    kwargs = {name: read(doc[section][key])
-              for (section, key), (name, read) in _LOOP_FIELDS.items()
+    kwargs = {name: doc[section][key]
+              for (section, key), name in _LOOP_FIELDS.items()
               if key in doc.get(section, {})}
     kwargs["system"] = _from_json("system", BjModel, doc["system"])
     if "controller" in doc:
@@ -285,7 +284,7 @@ def wnsf_settings_from(doc: dict):
     if sec is None:
         raise ConfigError("wnsf: section is required for this command")
     options = {key: value for key, value in sec.items() if key != "orders"}
-    return ModelOrders(*map(int, sec["orders"])), WnsfOptions(**options)
+    return ModelOrders(*sec["orders"]), WnsfOptions(**options)
 
 
 @contextlib.contextmanager
@@ -378,11 +377,11 @@ def cmd_montecarlo(args) -> int:
     with _writing("--out-dir"):
         os.makedirs(args.out_dir, exist_ok=True)
     result = run_monte_carlo(exp, runs=runs, parallelism=jobs)
+    agg = result.aggregate()
     with _writing("--out-dir"):
         result.write_csv(os.path.join(args.out_dir, "runs.csv"))
-        result.write_json(os.path.join(args.out_dir, "aggregate.json"))
+        _write_json(os.path.join(args.out_dir, "aggregate.json"), agg)
         _echo_config(doc, cfg, base, os.path.join(args.out_dir, "config.json"))
-    agg = result.aggregate()
     log.info("monte carlo aggregate: %s", agg)
     if result.failures == len(result.runs):
         print("error: every Monte Carlo run failed", file=sys.stderr)

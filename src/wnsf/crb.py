@@ -24,7 +24,7 @@ import numpy as np
 from .arx import true_eta
 from .estimator import ModelOrders, apply_T_inverse, build_Q
 from .lti import BjModel, RationalFilter, freq_response
-from .simulate import LoopConfig, reference_path, sensitivity
+from .simulate import LoopConfig, _integer, reference_path, sensitivity
 
 GRID_SIZE_DEFAULT = 8192
 
@@ -156,6 +156,9 @@ def _integrate(A: np.ndarray, Pz: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _quad_weights(grid_size: int):
+    grid_size = _integer(grid_size, "grid_size")
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
     omega = np.linspace(0.0, np.pi, grid_size)
     w = np.full(grid_size, omega[1] - omega[0])
     w[[0, -1]] *= 0.5
@@ -181,7 +184,7 @@ def compute_mcr(sm: SpectrumModel,
     dyn = sm.orders.dyn_dim
     trace = float(sm.sigma2 * np.trace(M_inv[:dyn, :dyn]))
     return CrbResult(M=M, M_inv=M_inv, dyn_block_trace=trace,
-                     grid_size=grid_size)
+                     grid_size=len(omega))
 
 
 def compute_mcl(sm: SpectrumModel,
@@ -200,7 +203,7 @@ def mbar_limit(sm: SpectrumModel, n: int,
                grid_size: int = GRID_SIZE_DEFAULT) -> np.ndarray:
     """Finite-n information matrix Q^T T^-T Rbar^n T^-1 Q at the true
     parameters; converges to M_CR as n grows."""
-    Q = build_Q(true_eta(sm.system, n), sm.orders)
+    Q = build_Q(true_eta(sm.system, _integer(n, "n")), sm.orders)
     Z = apply_T_inverse(sm.system, Q)
     omega, w = _quad_weights(grid_size)
     A = _lambda_projected(Z, sm, omega)                     # (dim, 2, W)

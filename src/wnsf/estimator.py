@@ -35,7 +35,7 @@ from .lti import (
     is_stable,
     toeplitz_matrix,
 )
-from .simulate import DataSet
+from .simulate import DataSet, _integer
 
 
 REFLECT_CLAMP = 0.999  # largest |root| that reflect_unstable leaves
@@ -72,6 +72,8 @@ class ModelOrders:
     m_d: int = 0
 
     def __post_init__(self):
+        for name in ("m_f", "m_l", "m_c", "m_d"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if min(self.m_f, self.m_l, self.m_c, self.m_d) < 0:
             raise ValueError("orders must be nonnegative")
         if self.m_l < 1 or self.m_f < 1:
@@ -134,17 +136,6 @@ class ThetaEstimate:
         }
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a ValueError unless it is integral."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != value:
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return as_int
-
-
 @dataclass(frozen=True)
 class WnsfOptions:
     n_grid: Sequence[int] = (50, 100, 150, 200, 250, 300)
@@ -154,8 +145,6 @@ class WnsfOptions:
     known_zero_ic: bool = False
 
     def __post_init__(self):
-        # integral values of any type (50.0, numpy integers) become ints,
-        # so the grid indexes arrays and its n serialize to JSON
         try:
             grid = tuple(_integer(n, "each n_grid entry") for n in self.n_grid)
         except TypeError:
@@ -267,7 +256,8 @@ def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
     the problem is the plain least squares of (G T^-1 Q, G T^-1 eta), and
     T^-1 is applied to [Q | eta] in one filtering pass.
     """
-    model, reflected = _weighting_model(theta_prev, orders)
+    theta_prev, reflected = reflect_unstable(theta_prev, orders)
+    model = orders.model(theta_prev)
     X = np.column_stack([build_Q(arx.eta, orders), arx.eta])
     GZ = arx.apply_factor(apply_T_inverse(model, X))
     theta = _solve_ls(GZ[:, :-1], GZ[:, -1])
@@ -288,7 +278,8 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
     """
     if not orders.is_oe:
         raise ValueError("OE step requires m_c = m_d = 0")
-    model, reflected = _weighting_model(theta_prev, orders)
+    theta_prev, reflected = reflect_unstable(theta_prev, orders)
+    model = orders.model(theta_prev)
     n = arx.n
     Q2 = build_Q(arx.eta, orders)[n:, :]
     f_filter, l_filter = RationalFilter(model.F), RationalFilter(model.L)
@@ -310,43 +301,30 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
                          reflected=reflected)
 
 
-def _weighting_model(theta: np.ndarray, orders: ModelOrders):
-    """The model step 3 weights with, theta's after ``reflect_unstable``,
-    and whether that reflected a root."""
-    theta, reflected = reflect_unstable(theta, orders)
-    return orders.model(theta), reflected
-
-
 def reflect_unstable(theta: np.ndarray, orders: ModelOrders):
     """Reflect the roots of F and C that ``is_stable`` rejects
     (|z| >= 1 - TOL_STAB) to 1/conj(root), clamped to magnitude
-    ``REFLECT_CLAMP``.  Returns (theta, changed).  Step 3 calls it on the
-    estimate it weights with."""
-    model = orders.model(theta)
-    changed = False
-
-    def fix(poly: Polynomial) -> Polynomial:
-        nonlocal changed
-        stable, out = is_stable(poly)
+    ``REFLECT_CLAMP``.  Returns (theta, changed): a copy of theta with the
+    reflected F and C blocks, or theta itself when nothing was reflected.
+    Step 3 calls it on the estimate it weights with."""
+    if len(theta) != orders.dim:
+        raise ValueError("theta length does not match the given orders")
+    out = theta
+    for start, m in ((0, orders.m_f), (orders.dyn_dim, orders.m_c)):
+        block = slice(start, start + m)
+        stable, roots = is_stable(Polynomial(np.concatenate([[1.0],
+                                                             theta[block]])))
         if stable:
-            return poly
-        changed = True
-        bad = np.abs(out) >= 1.0 - TOL_STAB
-        out[bad] = 1.0 / np.conj(out[bad])
-        mags = np.abs(out)
+            continue
+        bad = np.abs(roots) >= 1.0 - TOL_STAB
+        roots[bad] = 1.0 / np.conj(roots[bad])
+        mags = np.abs(roots)
         shrink = mags > REFLECT_CLAMP
-        out[shrink] *= REFLECT_CLAMP / mags[shrink]
-        return Polynomial(np.real(np.poly(out)))
-
-    f_new = fix(model.F)
-    c_new = fix(model.C)
-    if not changed:
-        return theta, False
-    new = np.concatenate(
-        [f_new.coeffs[1:], model.L.coeffs[1:], c_new.coeffs[1:],
-         model.D.coeffs[1:]]
-    )
-    return new, True
+        roots[shrink] *= REFLECT_CLAMP / mags[shrink]
+        if out is theta:
+            out = np.array(theta, dtype=float)
+        out[block] = np.real(np.poly(roots))[1:]
+    return out, out is not theta
 
 
 def pem_cost(theta: np.ndarray, data: DataSet, orders: ModelOrders) -> float:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional
@@ -54,19 +52,12 @@ def fit_of_models(g_true: RationalFilter, g_est: RationalFilter) -> float:
                       impulse_response(g_est, length))
 
 
-def mse_metric(theta_hat: np.ndarray, theta_o: np.ndarray,
-               orders: Optional[ModelOrders] = None,
-               dyn_only: bool = False) -> float:
-    """Squared parameter error over the full vector or the dynamic block."""
+def mse_metric(theta_hat: np.ndarray, theta_o: np.ndarray) -> float:
+    """Squared error between two parameter vectors."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta_o = np.asarray(theta_o, dtype=float)
     if len(theta_hat) != len(theta_o):
         raise ValueError("parameter vectors must have equal length")
-    if dyn_only:
-        if orders is None:
-            raise ValueError("dyn_only requires the model orders")
-        theta_hat = theta_hat[: orders.dyn_dim]
-        theta_o = theta_o[: orders.dyn_dim]
     return float(np.sum((theta_hat - theta_o) ** 2))
 
 
@@ -131,10 +122,6 @@ class McResult:
                 else:
                     out.writerow([r.seed, "", "", "", "", "", r.error])
 
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.aggregate(), fh, indent=2)
-
 
 # What one run can raise on its own data: an infeasible loop or noise scaling
 # from ``generate``, a failed identification, or an undefined FIT.
@@ -150,28 +137,20 @@ def _single_run(exp: McExperiment, seed: int) -> McRun:
         fit = fit_of_models(cfg.system.G, est.model.G)
     except _RUN_ERRORS as exc:
         return McRun(seed=seed, ok=False, error=f"{type(exc).__name__}: {exc}")
-    theta_true = _aligned_theta(cfg.system, exp.orders)
-    mse = mse_metric(est.theta, theta_true, exp.orders, dyn_only=True)
+    mse = mse_metric(est.theta[:exp.orders.dyn_dim],
+                     _true_dynamics(cfg.system, exp.orders))
     return McRun(seed=seed, ok=True, theta=est.theta, n_used=est.n_used,
                  iterations=est.iterations, pem_cost=est.pem_cost,
                  fit=fit, mse=mse)
 
 
-def _aligned_theta(system: BjModel, orders: ModelOrders) -> np.ndarray:
-    """True parameter vector padded/truncated to the estimated orders."""
-
-    def block(coeffs, m):
-        out = np.zeros(m)
-        k = min(m, len(coeffs))
-        out[:k] = coeffs[:k]
-        return out
-
-    return np.concatenate([
-        block(system.F.coeffs[1:], orders.m_f),
-        block(system.L.coeffs[1:], orders.m_l),
-        block(system.C.coeffs[1:], orders.m_c),
-        block(system.D.coeffs[1:], orders.m_d),
-    ])
+def _true_dynamics(system: BjModel, orders: ModelOrders) -> np.ndarray:
+    """The true F and L blocks of theta, each cut or zero-padded to the
+    estimated order."""
+    blocks = ((system.F.coeffs[1:], orders.m_f),
+              (system.L.coeffs[1:], orders.m_l))
+    return np.concatenate([np.pad(c[:m], (0, m - len(c[:m])))
+                           for c, m in blocks])
 
 
 def run_monte_carlo(exp: McExperiment, runs: int,
@@ -179,16 +158,18 @@ def run_monte_carlo(exp: McExperiment, runs: int,
     """Run ``runs`` independent identifications with seeds base_seed + k.
 
     The aggregate is a deterministic function of the config regardless of
-    execution order or parallelism.  A pool gets the runs in chunks, about
-    four per worker (the heuristic of ``multiprocessing.Pool.map``), so a
+    execution order or parallelism.  A pool has at most one worker per run
+    (under ``fork`` all start at the first submit) and gets the runs in
+    chunks, about four per worker (as ``multiprocessing.Pool.map``), so a
     run of a few milliseconds does not pay a round trip to a worker alone.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     seeds = [exp.base_seed + k for k in range(runs)]
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            chunksize = -(-runs // (4 * parallelism))
+    workers = min(parallelism, runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = -(-runs // (4 * workers))
             results = list(pool.map(_single_run, [exp] * runs, seeds,
                                     chunksize=chunksize))
     else:

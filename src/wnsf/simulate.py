@@ -36,6 +36,19 @@ class UnstableLoopError(RuntimeError):
     pass
 
 
+def _integer(value, name: str) -> int:
+    """A count given as any integral number (1e4, 20.0, a numpy integer) as
+    an int, which indexes arrays and serializes to JSON; a ValueError unless
+    it is integral."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return as_int
+
+
 @dataclass(frozen=True)
 class LoopConfig:
     system: BjModel
@@ -47,11 +60,10 @@ class LoopConfig:
     seed: int = 0
     loop_kind: str = "closed"
     snr_target: Optional[float] = None
-    # Some published experiments close an unstable loop on purpose; signals
-    # then grow geometrically but remain finite over short records.
-    allow_unstable: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "N", _integer(self.N, "N"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.loop_kind not in LOOP_KINDS:
             raise ValueError(f"loop_kind must be one of {LOOP_KINDS}")
         if self.noise_std < 0:
@@ -68,8 +80,6 @@ class DataSet:
     u: np.ndarray
     y: np.ndarray
     e: Optional[np.ndarray] = None
-    seed: Optional[int] = None
-    system: Optional[BjModel] = None
     noise_std: Optional[float] = None   # sigma of e as generated
 
     def __post_init__(self):
@@ -143,20 +153,16 @@ def reference_path(system: BjModel, controller: RationalFilter,
     says what a loop kind means for the reference.
     """
     p = sensitivity(system, controller).den
-    if loop_kind == "closed_ref_through_K":
-        x = controller.num
-        return (RationalFilter(poly_mul(x, system.F), p),
-                RationalFilter(poly_mul(x, system.L), p))
-    x = controller.den
-    # np.convolve is not bitwise commutative; this order reproduces the
-    # records generated before the loop kinds shared one path.
+    x = controller.num if loop_kind == "closed_ref_through_K" else controller.den
+    # np.convolve is not bitwise commutative for equal lengths, so the order
+    # of L x is part of every record
     return (RationalFilter(poly_mul(x, system.F), p),
             RationalFilter(poly_mul(system.L, x), p))
 
 
 def _check_loop(cfg: LoopConfig):
     s = sensitivity(cfg.system, cfg.controller)
-    if not cfg.allow_unstable and not is_stable(s.den)[0]:
+    if not is_stable(s.den)[0]:
         raise UnstableLoopError("closed-loop sensitivity is unstable")
     return s
 
@@ -206,7 +212,7 @@ def generate(cfg: LoopConfig, r=None) -> DataSet:
         r = cfg.reference_gain * filter_signal(cfg.reference_filter, r_white)
     else:
         r = np.asarray(r, dtype=float)
-    sigma = cfg.noise_std
+    sigma = float(cfg.noise_std)
     if cfg.snr_target is not None:
         sigma = scale_noise_to_snr(cfg, r, e_unit)
     e = sigma * e_unit
@@ -222,8 +228,7 @@ def generate(cfg: LoopConfig, r=None) -> DataSet:
         sh = RationalFilter(poly_mul(poly_mul(k.den, system.F), system.C), pd)
         u = u - filter_signal(ksh, e)
         y = filter_signal(r_to_y, r) + filter_signal(sh, e)
-    return DataSet(r=r, u=u, y=y, e=e, seed=cfg.seed, system=system,
-                   noise_std=sigma)
+    return DataSet(r=r, u=u, y=y, e=e, noise_std=sigma)
 
 
 @dataclass(frozen=True)

@@ -479,7 +479,21 @@ class TestMonteCarloCommand:
               "--out-dir", str(d1)])
         main(["montecarlo", cfg, "--runs", "2", "--jobs", "2",
               "--out-dir", str(d2)])
-        assert (d1 / "runs.csv").read_bytes() == (d2 / "runs.csv").read_bytes()
+        for name in ("runs.csv", "aggregate.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_aggregate_file_is_the_printed_document(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BENCH_CONFIG))
+        doc["experiment"].update(N=300, seed=5)
+        doc["wnsf"] = {"orders": [2, 2, 1, 1], "n_grid": [20]}
+        cfg = _write_config(tmp_path, doc)
+        out_dir = tmp_path / "mc"
+        assert main(["montecarlo", cfg, "--runs", "2",
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        text = (out_dir / "aggregate.json").read_text()
+        assert text == capsys.readouterr().out
+        agg = json.loads(text)
+        assert (agg["runs"], agg["failures"], agg["base_seed"]) == (2, 0, 5)
 
 
 class TestCrbCommand:

@@ -21,6 +21,7 @@ from wnsf.arx import (
     estimate_arx,
     true_eta,
 )
+from wnsf.crb import SpectrumModel, compute_mcr, mbar_limit
 from wnsf.estimator import (
     IdentificationError,
     ModelOrders,
@@ -416,11 +417,19 @@ class TestReflection:
         assert changed
         assert new[0] == pytest.approx(-0.5)
         assert new[1] == 1.0
+        assert theta[0] == -2.0  # a copy is reflected, not the input
 
     def test_stable_theta_untouched(self, bench_system):
-        theta, changed = reflect_unstable(bench_system.theta, BJ_ORDERS)
+        theta = bench_system.theta
+        new, changed = reflect_unstable(theta, BJ_ORDERS)
         assert not changed
-        assert np.array_equal(theta, bench_system.theta)
+        assert new is theta
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_wrong_length_rejected(self, bench_system, length):
+        theta = np.resize(bench_system.theta, length)
+        with pytest.raises(ValueError, match="theta length"):
+            reflect_unstable(theta, BJ_ORDERS)
 
     def test_root_inside_stability_margin_reflected(self, bench_system):
         # |z| = 1 - 1e-10 fails is_stable (|z| < 1 - TOL_STAB), so reflection
@@ -458,7 +467,7 @@ class TestPemCost:
 
     def test_approaches_noise_variance(self, bench_closed_cfg):
         data = generate(bench_closed_cfg)
-        J = pem_cost(data.system.theta, data, BJ_ORDERS)
+        J = pem_cost(bench_closed_cfg.system.theta, data, BJ_ORDERS)
         assert abs(J - 1.0) < 3 * np.sqrt(2.0 / data.N)
 
     def test_unstable_predictor_infinite(self, bench_system):
@@ -480,6 +489,16 @@ class TestIdentify:
             est = wnsf_identify(data, BJ_ORDERS, options)
         assert len(est.trace) > 2
         assert spy.call_count == 4 * len(est.trace)
+
+    def test_two_models_per_iterate(self, bench_closed_cfg):
+        # step 3 builds the model it weights with, pem_cost the new iterate's
+        data = generate(replace(bench_closed_cfg, N=2000))
+        options = WnsfOptions(n_grid=(30, 50), max_iter=5)
+        with mock.patch.object(BjModel, "from_theta",
+                               wraps=BjModel.from_theta) as spy:
+            est = wnsf_identify(data, BJ_ORDERS, options)
+        assert len(est.trace) > 2
+        assert spy.call_count == 2 * len(est.trace)
 
     def test_degenerate_grid_is_one_weighted_pass(self, bench_closed_cfg):
         data = generate(bench_closed_cfg)
@@ -741,6 +760,55 @@ class TestOptions:
     def test_non_integral_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             WnsfOptions(**kwargs)
+
+
+def _spectrum(system):
+    return SpectrumModel.from_loop_config(LoopConfig(system=system))
+
+
+# parameter -> (an integral value, a call that takes it) for every count a
+# library call takes; the float forms used to fail inside numpy (TypeError)
+COUNT_INPUTS = {
+    "N": (300, lambda sys, v: generate(LoopConfig(system=sys, N=v)).y),
+    "seed": (1, lambda sys, v: generate(LoopConfig(system=sys, seed=v)).y),
+    "m_f": (2, lambda sys, v: wnsf_identify(
+        generate(LoopConfig(system=sys, N=400)), ModelOrders(v, 2, 1, 1),
+        WnsfOptions(n_grid=(20,), max_iter=2)).theta),
+    "grid_size": (512, lambda sys, v: compute_mcr(_spectrum(sys),
+                                                  grid_size=v).M),
+    "n": (20, lambda sys, v: mbar_limit(_spectrum(sys), n=v, grid_size=256)),
+}
+
+
+class TestCountInputs:
+    @pytest.mark.parametrize("name", COUNT_INPUTS)
+    @pytest.mark.parametrize("convert", [float, np.int64])
+    def test_integral_value_is_the_int(self, bench_system, name, convert):
+        value, call = COUNT_INPUTS[name]
+        np.testing.assert_array_equal(call(bench_system, convert(value)),
+                                      call(bench_system, value))
+
+    @pytest.mark.parametrize("name", COUNT_INPUTS)
+    def test_non_integral_rejected(self, bench_system, name):
+        value, call = COUNT_INPUTS[name]
+        with pytest.raises(ValueError, match=name):
+            call(bench_system, value + 0.5)
+
+    @pytest.mark.parametrize("grid_size", [1, 0])
+    def test_grid_below_two_rejected(self, bench_system, grid_size):
+        # grid_size 1 used to raise IndexError in the quadrature weights
+        with pytest.raises(ValueError, match="grid_size"):
+            compute_mcr(_spectrum(bench_system), grid_size=grid_size)
+
+    def test_report_holds_ints(self, bench_system):
+        result = compute_mcr(_spectrum(bench_system), grid_size=512.0)
+        assert type(result.grid_size) is int
+        orders = ModelOrders(2.0, 2.0, np.int64(1), 1)
+        assert {type(m) for m in (orders.m_f, orders.m_l, orders.m_c,
+                                  orders.m_d)} == {int}
+        cfg = LoopConfig(system=bench_system, N=1e4, seed=np.int64(3))
+        assert (cfg.N, cfg.seed) == (10000, 3)
+        assert type(cfg.N) is int and type(cfg.seed) is int
 
 
 # -- step 1 shared by an n-grid under known_zero_ic --------------------------

@@ -1,12 +1,17 @@
 import csv
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import wnsf.metrics as metrics_mod
-from wnsf.estimator import IdentificationError, ModelOrders, WnsfOptions, wnsf_identify
+from wnsf.estimator import (
+    IdentificationError,
+    ModelOrders,
+    ThetaEstimate,
+    WnsfOptions,
+    wnsf_identify,
+)
 from wnsf.lti import Polynomial, RationalFilter
 from wnsf.metrics import (
     McExperiment,
@@ -122,11 +127,18 @@ class TestMseMetric:
         b[2] = 0.1
         assert mse_metric(a, b) == pytest.approx(0.01)
 
-    def test_dynamic_block_selects_four_entries(self, bench_system):
+    def test_dynamic_block_selects_four_entries(self, bench_system,
+                                                unit_controller, monkeypatch):
+        # a campaign's mse counts the F and L blocks of theta only
         theta = bench_system.theta.copy()
+        theta[3] += 0.5
         theta[4] += 1.0  # noise-model entry must not count
-        assert mse_metric(theta, bench_system.theta, BJ_ORDERS,
-                          dyn_only=True) == 0.0
+        est = ThetaEstimate(theta, BJ_ORDERS, n_used=50, iterations=1)
+        monkeypatch.setattr(metrics_mod, "wnsf_identify", lambda *args: est)
+        cfg = LoopConfig(system=bench_system, controller=unit_controller,
+                         N=300, seed=0)
+        run = run_monte_carlo(_experiment(cfg), runs=1).runs[0]
+        assert run.ok and run.mse == pytest.approx(0.25)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -164,6 +176,38 @@ class TestMonteCarlo:
         assert serial.aggregate() == parallel.aggregate()
         assert np.array_equal(serial.thetas(), parallel.thetas())
 
+    @pytest.mark.parametrize("runs, jobs, pools", [
+        (2, 64, [2]), (3, 2, [2]), (1, 8, [])])
+    def test_pool_has_at_most_one_worker_per_run(self, bench_system,
+                                                 unit_controller, monkeypatch,
+                                                 runs, jobs, pools):
+        # under fork every worker starts at the first submit, so 64 jobs for
+        # 2 runs used to fork 64 interpreters; this pool maps in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        cfg = LoopConfig(system=bench_system, controller=unit_controller,
+                         N=300, seed=0)
+        exp = _experiment(cfg, n=20)
+        serial = run_monte_carlo(exp, runs=runs)
+        monkeypatch.setattr(metrics_mod, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_monte_carlo(exp, runs=runs, parallelism=jobs)
+        assert sizes == pools
+        assert pooled.aggregate() == serial.aggregate()
+        assert np.array_equal(pooled.thetas(), serial.thetas())
+
     def test_aggregate_recomputable_from_csv(self, bench_system,
                                              unit_controller, tmp_path):
         cfg = LoopConfig(system=bench_system, controller=unit_controller,
@@ -181,16 +225,6 @@ class TestMonteCarlo:
         assert abs(agg["fit"]["q1"] - q1) < 1e-12
         assert abs(agg["fit"]["q3"] - q3) < 1e-12
 
-    def test_json_report(self, bench_system, unit_controller, tmp_path):
-        cfg = LoopConfig(system=bench_system, controller=unit_controller,
-                         N=2000, seed=0)
-        result = run_monte_carlo(_experiment(cfg), runs=2)
-        path = tmp_path / "agg.json"
-        result.write_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["runs"] == 2 and doc["failures"] == 0
-        assert doc["base_seed"] == 100
-
     def test_failure_isolation(self, bench_system, unit_controller,
                                monkeypatch):
         cfg = LoopConfig(system=bench_system, controller=unit_controller,
@@ -198,10 +232,11 @@ class TestMonteCarlo:
         exp = _experiment(cfg)
         clean = run_monte_carlo(exp, runs=3)
         poisoned_seed = exp.base_seed + 1
+        poisoned_y = generate(replace(cfg, seed=poisoned_seed)).y
         real_identify = metrics_mod.wnsf_identify
 
         def poisoned(data, orders, options):
-            if data.seed == poisoned_seed:
+            if np.array_equal(data.y, poisoned_y):
                 raise IdentificationError("poisoned run")
             return real_identify(data, orders, options)
 
@@ -216,10 +251,10 @@ class TestMonteCarlo:
 
     def test_run_config_is_loop_with_run_seed(self, fast_oe_system,
                                               monkeypatch):
-        # allow_unstable must reach every run, as must every other field
+        # every field of the loop must reach every run
         cfg = LoopConfig(system=fast_oe_system,
-                         controller=RationalFilter(Polynomial([0.3])),
-                         noise_std=0.5, N=50, seed=0, allow_unstable=True)
+                         controller=RationalFilter(Polynomial([0.03])),
+                         reference_gain=2.0, noise_std=0.5, N=50, seed=0)
         exp = McExperiment(loop=cfg, orders=ModelOrders(3, 2),
                            options=WnsfOptions(n_grid=(10,)), base_seed=7)
         seen = []

@@ -67,8 +67,9 @@ class TestClosedLoop:
 
     def test_consistency_residual(self, bench_closed_cfg):
         data = generate(bench_closed_cfg)
-        resid = (data.y - filter_signal(data.system.G, data.u)
-                 - filter_signal(data.system.H, data.e))
+        system = bench_closed_cfg.system
+        resid = (data.y - filter_signal(system.G, data.u)
+                 - filter_signal(system.H, data.e))
         assert np.max(np.abs(resid)) < 1e-9
 
     def test_superposition(self, bench_system, unit_controller):
@@ -93,13 +94,6 @@ class TestClosedLoop:
                          N=100, seed=0)
         with pytest.raises(UnstableLoopError):
             generate(cfg)
-
-    def test_unstable_loop_escape_hatch(self, fast_oe_system):
-        cfg = LoopConfig(system=fast_oe_system,
-                         controller=RationalFilter(Polynomial([0.3])),
-                         N=50, seed=0, allow_unstable=True)
-        data = generate(cfg)
-        assert np.all(np.isfinite(data.y))
 
 
 class TestOpenLoop:
