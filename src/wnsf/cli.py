@@ -1,14 +1,17 @@
 """Command-line front end: simulate datasets, identify models, run Monte
 Carlo campaigns, and compute asymptotic covariance bounds.
 
-Experiments are JSON configs validated against a strict schema (unknown
-keys are rejected); ``simulate`` and ``montecarlo`` write an echo of the
-effective configuration beside their outputs.  ``FLAG_KEYS`` maps each flag
-that sets a config key to that key (``--seed``: ``experiment.seed``; the
-``identify`` flags: ``wnsf.*``; ``--kind``, ``--grid-size``, ``--n``:
-``crb.*``).  ``with_flags`` writes the flags given, each checked by its
-key's schema rule, into a copy of the config (for ``identify``, an empty
-one), and every command then reads only that document.
+Experiments are JSON configs.  ``load_config`` rejects unknown and missing
+keys and values of the wrong JSON type (``CONFIG_KEYS``); the library
+classes a config sets check its values, and each error names the config key
+at fault, or the flag that set it.  ``simulate`` and ``montecarlo`` write an
+echo of the effective configuration beside their outputs.  ``FLAG_KEYS``
+maps each flag that sets a config key to that key (``--seed``:
+``experiment.seed``; the ``identify`` flags: ``wnsf.*``; ``--kind``,
+``--grid-size``, ``--n``: ``crb.*``).  ``with_flags`` writes the flags
+given, each checked for its key's shape, into a copy of the config (for
+``identify``, an empty one), and every command then reads only that
+document.
 
 Every command runs with one BLAS thread (``blas.single_thread``), so its
 outputs do not depend on the core count.
@@ -25,10 +28,10 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
-import jsonschema
 import numpy as np
 
 from . import blas
@@ -53,117 +56,93 @@ EXIT_BOUND = 5
 
 log = logging.getLogger("wnsf")
 
-_COEFFS = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-_COUNT = {"type": "integer", "minimum": 1}
 
-_FILTER_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {"num": _COEFFS, "den": _COEFFS},
-    "required": ["num"],
+def _is_number(x) -> bool:
+    # Python's json reads NaN and +-Infinity, and argparse's float "nan" and
+    # "inf"; a bool is an int to Python but not a number to JSON
+    return type(x) in (int, float) and -math.inf < x < math.inf
+
+
+def _is_count(x) -> bool:
+    return _is_number(x) and x == int(x)
+
+
+def _is_list(x, test) -> bool:
+    return isinstance(x, list) and all(map(test, x))
+
+
+def _count_from(low):
+    return f"an integer >= {low}", lambda x: _is_count(x) and x >= low
+
+
+# a shape: (what a value of it is, the test of a value)
+NUMBER = "a finite number", _is_number
+COUNT = "an integer", _is_count
+COEFFS = ("a non-empty list of finite numbers",
+          lambda x: _is_list(x, _is_number) and len(x) > 0)
+CRB_KINDS = ("full", "reference_only", "finite_order")
+
+# section -> {key: its shape}, the keys a config may have.  A shape is a JSON
+# type: the values a key may take, and a filter's num, are the rules of the
+# library class it sets.  crb sets no class, so its shapes are its rules
+CONFIG_KEYS = {
+    "system": {"F": COEFFS, "L": COEFFS, "C": COEFFS, "D": COEFFS},
+    "controller": {"num": COEFFS, "den": COEFFS},
+    "reference": {"num": COEFFS, "den": COEFFS, "gain": NUMBER},
+    "noise": {"std": NUMBER, "snr_target": NUMBER},
+    "experiment": {"loop_kind": ("a string", lambda x: isinstance(x, str)),
+                   "N": COUNT, "seed": COUNT},
+    "wnsf": {"orders": ("a list of four integers",
+                        lambda x: _is_list(x, _is_count) and len(x) == 4),
+             "n_grid": ("a list of integers", lambda x: _is_list(x, _is_count)),
+             "max_iter": COUNT, "tol": NUMBER, "delta_reg": NUMBER,
+             "known_zero_ic": ("true or false", lambda x: type(x) is bool)},
+    "crb": {"kind": (f"one of {', '.join(CRB_KINDS)}",
+                     lambda x: x in CRB_KINDS),
+            "grid_size": _count_from(2), "n": _count_from(1)},
 }
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["system", "experiment"],
-    "properties": {
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["F", "L"],
-            "properties": {"F": _COEFFS, "L": _COEFFS, "C": _COEFFS, "D": _COEFFS},
-        },
-        "controller": _FILTER_SCHEMA,
-        "reference": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "num": _COEFFS,
-                "den": _COEFFS,
-                "gain": {"type": "number"},
-            },
-            # a denominator alone has no numerator to divide
-            "dependentRequired": {"den": ["num"]},
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "std": {"type": "number", "minimum": 0},
-                "snr_target": {"type": "number", "exclusiveMinimum": 0},
-            },
-            # snr_target sets the noise level, so a std beside it is ignored
-            "not": {"required": ["std", "snr_target"]},
-        },
-        "experiment": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["N"],
-            "properties": {
-                "loop_kind": {"enum": list(LOOP_KINDS)},
-                "N": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "wnsf": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["orders"],
-            "properties": {
-                # m_f, m_l, m_c, m_d; a plant needs m_f >= 1 and m_l >= 1
-                "orders": {
-                    "type": "array",
-                    "prefixItems": [_COUNT, _COUNT,
-                                    {"type": "integer", "minimum": 0},
-                                    {"type": "integer", "minimum": 0}],
-                    "minItems": 4,
-                    "maxItems": 4,
-                },
-                "n_grid": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                    # a repeated n would be identified twice
-                    "uniqueItems": True,
-                },
-                "max_iter": _COUNT,
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "delta_reg": {"type": "number", "exclusiveMinimum": 0},
-                "known_zero_ic": {"type": "boolean"},
-            },
-        },
-        "crb": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["full", "reference_only", "finite_order"]},
-                "grid_size": {"type": "integer", "minimum": 2},
-                "n": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
-
-
-# JSON numbers are finite, but Python's json reads NaN and +-Infinity and
-# argparse's float reads "nan" and "inf"
-_DRAFT = jsonschema.Draft202012Validator
-_Validator = jsonschema.validators.extend(
-    _DRAFT, type_checker=_DRAFT.TYPE_CHECKER.redefine("number", lambda _, x: (
-        _DRAFT.TYPE_CHECKER.is_type(x, "number") and math.isfinite(x))))
+# section -> the keys it must have; a config must have system and experiment
+REQUIRED = {"system": ("F", "L"), "experiment": ("N",), "wnsf": ("orders",)}
 
 
 class ConfigError(ValueError):
-    pass
+    """A bad config, flag or path; ``where`` names the one at fault."""
+
+    def __init__(self, message: str, where: str | None = None):
+        super().__init__(message)
+        self.where = where
 
 
-def _field_path(err: jsonschema.ValidationError) -> str:
-    path = [str(p) for p in err.absolute_path]
-    if err.validator == "required":
-        # point at the missing field itself, not just its parent object
-        path.append(err.message.split("'")[1])
-    return ".".join(path) or "(root)"
+def _mismatch(shape, value):
+    """Why ``value`` does not have ``shape``; None if it does."""
+    what, test = shape
+    return None if test(value) else f"expected {what}, not {value!r}"
+
+
+def _config_errors(doc) -> list:
+    """What is wrong with the keys and JSON types of the config ``doc``."""
+    if not isinstance(doc, dict):
+        return ["(root): expected an object"]
+    errors = [f"{name}: missing" for name in ("system", "experiment")
+              if name not in doc]
+    for section, body in doc.items():
+        if section not in CONFIG_KEYS:
+            errors.append(f"(root): unknown key {section!r}")
+            continue
+        if not isinstance(body, dict):
+            errors.append(f"{section}: expected an object, not {body!r}")
+            continue
+        errors += [f"{section}.{key}: missing"
+                   for key in REQUIRED.get(section, ()) if key not in body]
+        for key, value in body.items():
+            if key not in CONFIG_KEYS[section]:
+                errors.append(f"{section}: unknown key {key!r}")
+            elif error := _mismatch(CONFIG_KEYS[section][key], value):
+                errors.append(f"{section}.{key}: {error}")
+        # snr_target sets the noise level, so a std beside it would be ignored
+        if section == "noise" and {"std", "snr_target"} <= body.keys():
+            errors.append("noise: std and snr_target are both set")
+    return errors
 
 
 def load_config(path: str) -> dict:
@@ -174,25 +153,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(doc),
-                    key=lambda e: list(e.absolute_path))
-    if errors:
-        lines = [f"{_field_path(e)}: {e.message}" for e in errors]
-        raise ConfigError("invalid config:\n  " + "\n  ".join(lines))
+    if errors := _config_errors(doc):
+        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     return doc
-
-
-def _rule(section: str, key: str) -> dict:
-    """The schema rule of the config key ``section.key``."""
-    return CONFIG_SCHEMA["properties"][section]["properties"][key]
-
-
-def _check_flag(flag: str, value, rule: dict):
-    """``value`` if it obeys ``rule``, else a config error naming ``flag``."""
-    error = jsonschema.exceptions.best_match(_Validator(rule).iter_errors(value))
-    if error is not None:
-        raise ConfigError(f"{flag}: {error.message}")
-    return value
 
 
 def _int_list(text: str) -> list:
@@ -223,15 +186,22 @@ FLAG_KEYS = {
 }
 
 
+def _checked(flag: str, value, shape):
+    """``value`` if it has ``shape``, else a config error naming ``flag``."""
+    if error := _mismatch(shape, value):
+        raise ConfigError(error, flag)
+    return value
+
+
 def _flag_value(flag: str, value):
-    """The value of ``flag``, read from its text and checked by the schema
-    rule of the config key it sets."""
+    """The value of ``flag``, read from its text and checked for the shape of
+    the config key it sets."""
     section, key, read = FLAG_KEYS[flag]
     try:
         value = value if read is None else read(value)
     except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}")
-    return _check_flag(flag, value, _rule(section, key))
+        raise ConfigError(str(exc), flag)
+    return _checked(flag, value, CONFIG_KEYS[section][key])
 
 
 def with_flags(doc: dict, args) -> dict:
@@ -245,11 +215,16 @@ def with_flags(doc: dict, args) -> dict:
     return doc
 
 
-def _from_json(section: str, cls, body):
+@contextlib.contextmanager
+def _naming(where: str, fields: dict | None = None):
+    """Report a ValueError of a library class as a config error naming the
+    config key of the field at fault (``fields[field]``; the field is the
+    message's first word), else ``where``."""
     try:
-        return cls.from_json(body)
+        yield
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}")
+        field = re.match(r"\w*", str(exc))[0]
+        raise ConfigError(str(exc), (fields or {}).get(field, where)) from None
 
 
 # (section, key) -> the LoopConfig field it sets
@@ -269,22 +244,27 @@ def loop_config_from(doc: dict) -> LoopConfig:
     kwargs = {name: doc[section][key]
               for (section, key), name in _LOOP_FIELDS.items()
               if key in doc.get(section, {})}
-    kwargs["system"] = _from_json("system", BjModel, doc["system"])
-    if "controller" in doc:
-        kwargs["controller"] = _from_json("controller", RationalFilter,
-                                          doc["controller"])
-    if "num" in doc.get("reference", {}):
-        kwargs["reference_filter"] = _from_json("reference", RationalFilter,
-                                                doc["reference"])
-    return LoopConfig(**kwargs)
+    with _naming("system"):
+        kwargs["system"] = BjModel.from_json(doc["system"])
+    for section, name in (("controller", "controller"),
+                          ("reference", "reference_filter")):
+        # a reference that sets its gain alone keeps the default filter
+        if {"num", "den"} & set(doc.get(section, ())):
+            with _naming(section):
+                kwargs[name] = RationalFilter.from_json(doc[section])
+    with _naming("experiment", {name: ".".join(key)
+                                for key, name in _LOOP_FIELDS.items()}):
+        return LoopConfig(**kwargs)
 
 
 def wnsf_settings_from(doc: dict):
     sec = doc.get("wnsf")
     if sec is None:
-        raise ConfigError("wnsf: section is required for this command")
+        raise ConfigError("section is required for this command", "wnsf")
     options = {key: value for key, value in sec.items() if key != "orders"}
-    return ModelOrders(*sec["orders"]), WnsfOptions(**options)
+    # ModelOrders names its fields m_f .. m_d, which are no wnsf keys
+    with _naming("wnsf.orders", {key: f"wnsf.{key}" for key in options}):
+        return ModelOrders(*sec["orders"]), WnsfOptions(**options)
 
 
 @contextlib.contextmanager
@@ -294,7 +274,7 @@ def _writing(flag: str):
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"{flag}: cannot write output: {exc}")
+        raise ConfigError(f"cannot write output: {exc}", flag)
 
 
 def _write_json(path, payload):
@@ -347,7 +327,7 @@ def cmd_identify(args) -> int:
     try:
         data = DataSet.from_csv(args.data)
     except (OSError, KeyError, ValueError) as exc:
-        raise ConfigError(f"--data: cannot load data: {exc}")
+        raise ConfigError(f"cannot load data: {exc}", "--data")
     try:
         est = wnsf_identify(data, orders, options)
     except IdentificationError as exc:
@@ -364,8 +344,8 @@ def cmd_identify(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     # --runs and --jobs set no config key; each counts something
-    runs = _check_flag("--runs", args.runs, _COUNT)
-    jobs = _check_flag("--jobs", args.jobs, _COUNT)
+    runs = _checked("--runs", args.runs, _count_from(1))
+    jobs = _checked("--jobs", args.jobs, _count_from(1))
     doc = load_config(args.config)
     cfg = loop_config_from(doc)
     orders, options = wnsf_settings_from(doc)
@@ -398,14 +378,12 @@ def cmd_crb(args) -> int:
     grid = int(sec.get("grid_size", GRID_SIZE_DEFAULT))
     n = int(sec.get("n", 200))
     # the bound is on the parameters of F and L, so each needs degree >= 1;
-    # simulate runs a constant F or L, so the schema cannot reject it
+    # simulate runs a constant F or L, so BjModel accepts it
     for name in ("F", "L"):
         if getattr(cfg.system, name).degree < 1:
-            raise ConfigError(f"system.{name}: the bound needs degree >= 1")
-    try:
+            raise ConfigError("the bound needs degree >= 1", f"system.{name}")
+    with _naming("noise.snr_target"):
         sm = SpectrumModel.from_loop_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"noise.snr_target: {exc}")
     try:
         if kind == "full":
             payload = compute_mcr(sm, grid_size=grid).to_json()
@@ -465,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crb", help="compute the asymptotic covariance bound")
     p.add_argument("config", help="JSON experiment config")
     p.add_argument("--grid-size", type=int)
-    p.add_argument("--kind", help=", ".join(_rule("crb", "kind")["enum"]))
+    p.add_argument("--kind", help=", ".join(CRB_KINDS))
     p.add_argument("--n", type=int,
                    help="truncation order for the finite-order bound")
     p.add_argument("--out", default=None, help="write the report JSON here")
@@ -490,7 +468,13 @@ def main(argv=None) -> int:
         with blas.single_thread():
             return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a config key a flag set is named by the flag
+        flags = {f"{section}.{key}": flag
+                 for flag, (section, key, _) in FLAG_KEYS.items()
+                 if getattr(args, key, None) is not None}
+        where = flags.get(exc.where, exc.where)
+        print(f"error: {where}: {exc}" if where else f"error: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -156,9 +156,7 @@ def _integrate(A: np.ndarray, Pz: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _quad_weights(grid_size: int):
-    grid_size = _integer(grid_size, "grid_size")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
+    grid_size = _integer(grid_size, "grid_size", 2)
     omega = np.linspace(0.0, np.pi, grid_size)
     w = np.full(grid_size, omega[1] - omega[0])
     w[[0, -1]] *= 0.5
@@ -203,7 +201,7 @@ def mbar_limit(sm: SpectrumModel, n: int,
                grid_size: int = GRID_SIZE_DEFAULT) -> np.ndarray:
     """Finite-n information matrix Q^T T^-T Rbar^n T^-1 Q at the true
     parameters; converges to M_CR as n grows."""
-    Q = build_Q(true_eta(sm.system, _integer(n, "n")), sm.orders)
+    Q = build_Q(true_eta(sm.system, _integer(n, "n", 1)), sm.orders)
     Z = apply_T_inverse(sm.system, Q)
     omega, w = _quad_weights(grid_size)
     A = _lambda_projected(Z, sm, omega)                     # (dim, 2, W)

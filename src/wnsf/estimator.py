@@ -35,7 +35,7 @@ from .lti import (
     is_stable,
     toeplitz_matrix,
 )
-from .simulate import DataSet, _integer
+from .simulate import DataSet, _finite, _integer
 
 
 REFLECT_CLAMP = 0.999  # largest |root| that reflect_unstable leaves
@@ -72,12 +72,10 @@ class ModelOrders:
     m_d: int = 0
 
     def __post_init__(self):
-        for name in ("m_f", "m_l", "m_c", "m_d"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if min(self.m_f, self.m_l, self.m_c, self.m_d) < 0:
-            raise ValueError("orders must be nonnegative")
-        if self.m_l < 1 or self.m_f < 1:
-            raise ValueError("a nontrivial plant needs m_f >= 1 and m_l >= 1")
+        # a plant needs m_f >= 1 and m_l >= 1
+        for name, low in (("m_f", 1), ("m_l", 1), ("m_c", 0), ("m_d", 0)):
+            object.__setattr__(self, name,
+                               _integer(getattr(self, name), name, low))
 
     @property
     def dim(self) -> int:
@@ -138,6 +136,9 @@ class ThetaEstimate:
 
 @dataclass(frozen=True)
 class WnsfOptions:
+    """Settings of ``wnsf_identify``; a ValueError for a bad field starts
+    with its name."""
+
     n_grid: Sequence[int] = (50, 100, 150, 200, 250, 300)
     max_iter: int = 100
     tol: float = 1e-4
@@ -146,25 +147,24 @@ class WnsfOptions:
 
     def __post_init__(self):
         try:
-            grid = tuple(_integer(n, "each n_grid entry") for n in self.n_grid)
+            grid = tuple(_integer(n, f"n_grid[{k}]", 1)
+                         for k, n in enumerate(self.n_grid))
         except TypeError:
             raise ValueError("n_grid must be a sequence of integers")
+        if not grid:
+            raise ValueError("n_grid must not be empty")
+        for n in grid:
+            if grid.count(n) > 1:
+                raise ValueError(f"n_grid repeats n={n}")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "max_iter",
-                           _integer(self.max_iter, "max_iter"))
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and > 0")
-        if not 0 < self.delta_reg < math.inf:
-            raise ValueError("delta_reg must be finite and > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if len(self.n_grid) == 0:
-            raise ValueError("n_grid must not be empty")
-        if min(self.n_grid) < 1:
-            raise ValueError("n_grid entries must be >= 1")
-        for n in self.n_grid:
-            if self.n_grid.count(n) > 1:
-                raise ValueError(f"n_grid repeats n={n}")
+                           _integer(self.max_iter, "max_iter", 1))
+        for name in ("tol", "delta_reg"):
+            if _finite(getattr(self, name), name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if not isinstance(self.known_zero_ic, bool):
+            raise ValueError("known_zero_ic must be true or false, not "
+                             f"{self.known_zero_ic!r}")
 
 
 def build_Q(eta: np.ndarray, orders: ModelOrders) -> np.ndarray:

@@ -111,6 +111,8 @@ class RationalFilter:
 
     @classmethod
     def from_json(cls, data) -> "RationalFilter":
+        if "num" not in data:
+            raise ValueError("num is required; a den alone has no numerator")
         return cls(Polynomial.from_json(data["num"]),
                    Polynomial.from_json(data.get("den", [1.0])))
 

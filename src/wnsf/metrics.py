@@ -11,7 +11,7 @@ import numpy as np
 
 from .estimator import IdentificationError, ModelOrders, WnsfOptions, wnsf_identify
 from .lti import BjModel, RationalFilter, impulse_response
-from .simulate import LoopConfig, UnstableLoopError, generate
+from .simulate import LoopConfig, UnstableLoopError, _integer, generate
 
 IMPULSE_BLOCK = 64
 IMPULSE_CAP = 8192
@@ -163,8 +163,8 @@ def run_monte_carlo(exp: McExperiment, runs: int,
     chunks, about four per worker (as ``multiprocessing.Pool.map``), so a
     run of a few milliseconds does not pay a round trip to a worker alone.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    runs = _integer(runs, "runs", 1)
+    parallelism = _integer(parallelism, "parallelism", 1)
     seeds = [exp.base_seed + k for k in range(runs)]
     workers = min(parallelism, runs)
     if workers > 1:

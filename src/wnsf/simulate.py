@@ -36,21 +36,36 @@ class UnstableLoopError(RuntimeError):
     pass
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, minimum: int) -> int:
     """A count given as any integral number (1e4, 20.0, a numpy integer) as
-    an int, which indexes arrays and serializes to JSON; a ValueError unless
-    it is integral."""
+    an int, which indexes arrays and serializes to JSON; a ValueError naming
+    ``name`` unless it is integral, not a bool, and at least ``minimum``."""
     try:
         as_int = int(value)
     except (TypeError, ValueError, OverflowError):
         as_int = None
-    if as_int is None or as_int != value:
-        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if (as_int is None or as_int != value or as_int < minimum
+            or isinstance(value, (bool, np.bool_))):
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"not {value!r}")
     return as_int
+
+
+def _finite(value, name: str):
+    """``value`` if it is a finite real number (a bool is not); else a
+    ValueError naming ``name``."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and math.isfinite(value):
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 
 @dataclass(frozen=True)
 class LoopConfig:
+    """One experiment; a ValueError for a bad field starts with its name."""
+
     system: BjModel
     controller: RationalFilter = field(default=CONST_ZERO)
     reference_filter: RationalFilter = field(default=CONST_ONE)
@@ -62,15 +77,15 @@ class LoopConfig:
     snr_target: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "N", _integer(self.N, "N"))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "N", _integer(self.N, "N", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         if self.loop_kind not in LOOP_KINDS:
             raise ValueError(f"loop_kind must be one of {LOOP_KINDS}")
-        if self.noise_std < 0:
+        _finite(self.reference_gain, "reference_gain")
+        if _finite(self.noise_std, "noise_std") < 0:
             raise ValueError("noise_std must be >= 0")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.snr_target is not None and self.snr_target <= 0:
+        if (self.snr_target is not None
+                and _finite(self.snr_target, "snr_target") <= 0):
             raise ValueError("snr_target must be > 0")
 
 

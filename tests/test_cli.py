@@ -144,7 +144,7 @@ class TestSimulateCommand:
 
 class TestConfigRejected:
     @pytest.mark.parametrize("section, key, value, named", [
-        # removed option: the schema no longer knows it
+        # removed option: the config no longer knows it
         ("wnsf", "estimate_noise_model", True, "estimate_noise_model"),
         # snr_target sets the noise level, so std would be ignored
         ("noise", "snr_target", 2.0, "snr_target"),
@@ -165,7 +165,7 @@ IDENTIFY = ["identify", "--data", "{data}", "--orders", "2,2,1,1",
 
 # (argv with {placeholders}, exit code, text the message must contain)
 BAD_INPUTS = {
-    # flags are checked by the schema rule of the config key they set
+    # flags are checked by the rules of the config key they set
     "max_iter_0": (IDENTIFY + ["--max-iter", "0"], EXIT_CONFIG, "--max-iter"),
     "tol_negative": (IDENTIFY + ["--tol", "-1"], EXIT_CONFIG, "--tol"),
     # argparse reads these as floats; a NaN tol never stopped the iteration
@@ -231,18 +231,25 @@ BAD_INPUTS = {
                              "{tmp}/x.csv"], EXIT_CONFIG, "noise.std"),
     "config_gain_minus_infinity": (["crb", "{gain_minus_inf}"], EXIT_CONFIG,
                                    "reference.gain"),
-    # the model classes check what the schema cannot
+    # the library classes check the values of the keys they are built from
     "config_f_not_monic": (["simulate", "{f_not_monic}", "--out",
                             "{tmp}/x.csv"], EXIT_CONFIG, "F must be monic"),
     "config_l_constant_term": (["crb", "{l_constant}"], EXIT_CONFIG,
                                "L must have zero constant term"),
+    "config_seed_negative": (["simulate", "{seed_negative}", "--out",
+                              "{tmp}/x.csv"], EXIT_CONFIG, "experiment.seed"),
+    "config_snr_infinity": (["simulate", "{snr_inf}", "--out", "{tmp}/x.csv"],
+                            EXIT_CONFIG, "noise.snr_target"),
+    # a bool is an int to Python, not to JSON
+    "config_N_true": (["simulate", "{N_true}", "--out", "{tmp}/x.csv"],
+                      EXIT_CONFIG, "experiment.N"),
     "config_controller_den_not_monic": (
         ["montecarlo", "{k_den}", "--runs", "1", "--out-dir", "{tmp}/mc"],
         EXIT_CONFIG, "controller: denominator must be monic"),
     # a denominator alone used to end in KeyError: 'num'
     "config_reference_den_without_num": (["simulate", "{ref_den}", "--out",
                                           "{tmp}/x.csv"], EXIT_CONFIG,
-                                         "'num' is a dependency of 'den'"),
+                                         "reference: num is required"),
     # unstable D or reference filter: the 3000-sample record overflows, and
     # DataSet's ValueError used to escape as a traceback
     "simulate_noise_model_overflows": (["simulate", "{d_overflow}", "--out",
@@ -275,6 +282,9 @@ def bad_input_paths(tmp_path):
         "std_nan": {"noise": {"std": float("nan")}},
         "std_inf": {"noise": {"std": float("inf")}},
         "gain_minus_inf": {"reference": {"gain": float("-inf")}},
+        "snr_inf": {"noise": {"snr_target": float("inf")}},
+        "seed_negative": {"experiment": dict(doc["experiment"], seed=-1)},
+        "N_true": {"experiment": dict(doc["experiment"], N=True)},
         "f_not_monic": {"system": dict(doc["system"], F=[2.0, -0.5])},
         "l_constant": {"system": dict(doc["system"], L=[1.0, 1.0])},
         "f_degree0": {"system": dict(doc["system"], F=[1.0])},
@@ -557,7 +567,7 @@ class TestConfigReading:
         assert runs["gain"][1] == runs["unit"][1]
 
     def test_integral_floats_in_integer_keys(self, tmp_path, capsys):
-        # 20.0 is an integer to the schema; n_grid, max_iter, orders,
+        # 20.0 is an integer to the config; n_grid, max_iter, orders,
         # grid_size and n used to end in TypeError
         doc = json.loads(json.dumps(BENCH_CONFIG))
         doc["experiment"] = {"loop_kind": "closed", "N": 300, "seed": 1}
@@ -670,6 +680,14 @@ def _configs(draw):
     where = _sometimes(draw, None, st.sampled_from(["(root)", *doc]))
     if where is not None:
         (doc if where == "(root)" else doc[where])["bogus"] = 1
+    # a value of the wrong JSON type in place of one key's value
+    leaves = [(section, key) for section, body in doc.items()
+              if isinstance(body, dict) for key in body]
+    if leaves:
+        section, key = _sometimes(draw, (None, None), st.sampled_from(leaves))
+        if section is not None:
+            doc[section][key] = draw(st.sampled_from(
+                [True, "1", [], {}, [True], None]))
     return doc
 
 

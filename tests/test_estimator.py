@@ -756,10 +756,18 @@ class TestOptions:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_grid": (50.5,)}, {"n_grid": ("50",)}, {"n_grid": (math.inf,)},
-        {"n_grid": 50}, {"max_iter": 2.5}])
+        {"n_grid": 50}, {"max_iter": 2.5},
+        # a bool is an int to Python: max_iter=True used to run one iteration
+        {"max_iter": True}, {"n_grid": (True, 50)}])
     def test_non_integral_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             WnsfOptions(**kwargs)
+
+    @pytest.mark.parametrize("flag", ["yes", 1, None])
+    def test_known_zero_ic_must_be_bool(self, flag):
+        # "yes" and 1 used to be kept as given
+        with pytest.raises(ValueError, match="known_zero_ic"):
+            WnsfOptions(known_zero_ic=flag)
 
 
 def _spectrum(system):

@@ -214,3 +214,8 @@ class TestBjModel:
     def test_filter_json_roundtrip(self):
         f = RationalFilter(Polynomial([0.0, 1.0]), Polynomial([1.0, -0.5]))
         assert RationalFilter.from_json(f.to_json()) == f
+
+    def test_filter_json_needs_num(self):
+        # a denominator alone used to end in KeyError: 'num'
+        with pytest.raises(ValueError, match="num"):
+            RationalFilter.from_json({"den": [1.0, -0.5]})

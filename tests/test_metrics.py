@@ -146,6 +146,16 @@ class TestMseMetric:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("counts", [
+        {"runs": 2.5}, {"runs": 0}, {"runs": True},
+        {"runs": 2, "parallelism": 0}, {"runs": 2, "parallelism": -3}])
+    def test_bad_counts_rejected(self, bench_system, counts):
+        # parallelism 0 or -3 used to run serially without a word, and
+        # runs=2.5 ended in a TypeError
+        exp = _experiment(LoopConfig(system=bench_system, N=200))
+        with pytest.raises(ValueError, match=f"^{list(counts)[-1]} "):
+            run_monte_carlo(exp, **counts)
+
     def test_single_run_reproduces_identify(self, bench_system,
                                             unit_controller):
         cfg = LoopConfig(system=bench_system, controller=unit_controller,

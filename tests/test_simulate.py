@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -287,3 +288,14 @@ class TestDataSet:
             LoopConfig(system=bench_system, noise_std=-1.0)
         with pytest.raises(ValueError):
             LoopConfig(system=bench_system, N=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("noise_std", math.nan), ("noise_std", math.inf),
+        ("reference_gain", math.inf), ("snr_target", math.nan),
+        ("snr_target", math.inf), ("N", True)])
+    def test_bad_field_named(self, bench_system, field, value):
+        # each was accepted, and generate then failed with a message naming
+        # no field ("expected non-negative integer", "non-finite values in
+        # u"), or, for snr_target = inf, ran with a noise level of 0
+        with pytest.raises(ValueError, match=f"^{field} "):
+            LoopConfig(system=bench_system, **{field: value})
