@@ -298,13 +298,16 @@ def _echo_config(doc: dict, cfg: LoopConfig, data: DataSet, path):
 
 def _generate(cfg: LoopConfig):
     """``generate(cfg)``, or None once the reason it failed is reported: an
-    unstable loop, a silent noise path under snr_target, or a record that
-    overflows (a signal that is not finite)."""
+    unstable loop, a silent noise path under snr_target, a record that
+    overflows (a signal that is not finite), or one too long to allocate."""
     try:
         return generate(cfg)
     except (UnstableLoopError, ZeroDivisionError, ValueError) as exc:
         print(f"error: simulation infeasible: {exc}", file=sys.stderr)
-        return None
+    except MemoryError as exc:
+        print(f"error: simulation infeasible: experiment.N is too large: "
+              f"{exc}", file=sys.stderr)
+    return None
 
 
 def cmd_simulate(args) -> int:
@@ -394,9 +397,15 @@ def cmd_crb(args) -> int:
             M = mbar_limit(sm, n=n, grid_size=grid)
             payload = {"M": M.tolist(), "grid_size": grid, "kind": kind, "n": n}
     except (NonInformativeError, np.linalg.LinAlgError, ValueError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, MemoryError) as exc:
         where = f"{kind}, n = {n}" if kind == "finite_order" else kind
-        print(f"error: bound computation failed ({where}): {exc}",
+        reason = exc
+        if isinstance(exc, MemoryError):
+            # the counts size the arrays; only finite_order reads n
+            keys = ("crb.grid_size", "crb.n")[:1 + (kind == "finite_order")]
+            reason = (f"{' or '.join(_where(args, key) for key in keys)} "
+                      f"is too large: {exc}")
+        print(f"error: bound computation failed ({where}): {reason}",
               file=sys.stderr)
         return EXIT_BOUND
     with _writing("--out"):
@@ -451,6 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _where(args, key: str | None) -> str | None:
+    """The flag in ``args`` that set the config key ``key``, else ``key``."""
+    return next((flag for flag, (section, name, _) in FLAG_KEYS.items()
+                 if f"{section}.{name}" == key
+                 and getattr(args, name, None) is not None), key)
+
+
 def _setup_logging():
     level = os.environ.get("WNSF_LOG", "WARNING").upper()
     logging.basicConfig(
@@ -468,11 +484,7 @@ def main(argv=None) -> int:
         with blas.single_thread():
             return args.func(args)
     except ConfigError as exc:
-        # a config key a flag set is named by the flag
-        flags = {f"{section}.{key}": flag
-                 for flag, (section, key, _) in FLAG_KEYS.items()
-                 if getattr(args, key, None) is not None}
-        where = flags.get(exc.where, exc.where)
+        where = _where(args, exc.where)
         print(f"error: {where}: {exc}" if where else f"error: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG

@@ -3,14 +3,28 @@
 Conventions: a polynomial ``X(q) = x_0 + x_1 q^-1 + ... + x_m q^-m`` is stored
 as the coefficient array ``[x_0, ..., x_m]`` (ascending delay).  All filtering
 uses zero initial conditions.
+
+A filter with poles runs in scipy's compiled IIR kernel,
+``scipy.signal._sigtools._linear_filter``, which ``scipy.signal.lfilter``
+calls for zero initial conditions; the output is the same bits.  The kernel
+is loaded from its extension file, because importing ``scipy.signal`` (which
+imports ``scipy.stats``) would take most of the command-line start-up time.
+The kernel is private to scipy, so at import it must filter a fixed impulse
+pair to the exact dyadic values a correct kernel gives.  If it cannot be
+loaded or fails that check, ``lfilter`` is used, and a module loaded here is
+taken out of ``sys.modules`` again.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-from scipy import signal as _signal
+import scipy
 from scipy.linalg import toeplitz as _toeplitz
 
 TOL_STAB = 1e-9
@@ -121,6 +135,50 @@ CONST_ONE = RationalFilter(ONE, ONE)
 CONST_ZERO = RationalFilter(Polynomial(np.array([0.0])), ONE)
 
 
+_KERNEL = "scipy.signal._sigtools"
+
+
+def _load_kernel():
+    """``_linear_filter`` of scipy's ``_sigtools``, the module scipy.signal
+    loaded if it did, else the extension file beside scipy's."""
+    if _KERNEL not in sys.modules:
+        folder = os.path.join(os.path.dirname(scipy.__file__), "signal")
+        path = next(filter(os.path.exists, [
+            os.path.join(folder, "_sigtools" + suffix)
+            for suffix in EXTENSION_SUFFIXES]))
+        spec = importlib.util.spec_from_file_location(_KERNEL, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_KERNEL] = module
+    return sys.modules[_KERNEL]._linear_filter
+
+
+def _iir_filter():
+    """``lfilter(b, a, x, axis)`` for zero initial state: the compiled kernel
+    if it loads and passes the check, else ``scipy.signal.lfilter``."""
+    # b = 1 + 0.5 q^-1 over a = 1 - 0.5 q^-1 on impulses of height 1 and 2:
+    # every output value is dyadic, so a correct kernel gives these bits
+    impulses = np.zeros((2, 6))
+    impulses[:, 0] = [1.0, 2.0]
+    want = [[1, 1, .5, .25, .125, .0625], [2, 2, 1, .5, .25, .125]]
+    loaded_here = _KERNEL not in sys.modules
+    try:
+        kernel = _load_kernel()
+        if np.array_equal(kernel(np.array([1.0, 0.5]), np.array([1.0, -0.5]),
+                                 impulses, -1), want):
+            return kernel
+    except Exception:
+        # private API: whatever fails to load or run is replaced by lfilter
+        pass
+    if loaded_here:
+        sys.modules.pop(_KERNEL, None)
+    from scipy.signal import lfilter
+    return lfilter
+
+
+_lfilter = _iir_filter()
+
+
 def filter_signal(f: RationalFilter, x: np.ndarray) -> np.ndarray:
     """Apply num/den along the last axis of x as a direct-form difference
     equation with zero initial state.  Output length equals input length.
@@ -129,7 +187,7 @@ def filter_signal(f: RationalFilter, x: np.ndarray) -> np.ndarray:
     rows at once: lfilter would convolve the rows one by one in Python."""
     x = np.asarray(x, dtype=float)
     if f.den.degree > 0:
-        return _signal.lfilter(f.num.coeffs, f.den.coeffs, x)
+        return _lfilter(f.num.coeffs, f.den.coeffs, x, -1)
     b = f.num.coeffs
     y = b[0] * x
     for k in range(1, min(len(b), x.shape[-1])):

@@ -264,6 +264,20 @@ BAD_INPUTS = {
     "montecarlo_reference_overflows": (
         ["montecarlo", "{r_overflow}", "--runs", "1", "--out-dir",
          "{tmp}/mc"], EXIT_SIMULATION, "non-finite values in r"),
+    # a count numpy cannot allocate used to end in an _ArrayMemoryError
+    # traceback; 1e18 samples are refused at once, so nothing is allocated
+    "simulate_N_huge": (["simulate", "{N_huge}", "--out", "{tmp}/x.csv"],
+                        EXIT_SIMULATION, "experiment.N"),
+    "montecarlo_N_huge": (["montecarlo", "{N_huge}", "--runs", "1",
+                           "--out-dir", "{tmp}/mc"], EXIT_SIMULATION,
+                          "experiment.N"),
+    "crb_grid_size_huge": (["crb", "{grid_huge}"], EXIT_BOUND,
+                           "crb.grid_size"),
+    "crb_n_huge": (["crb", "{n_huge}", "--grid-size", "256"], EXIT_BOUND,
+                   "crb.n"),
+    "crb_n_flag_huge": (["crb", "{cfg}", "--kind", "finite_order", "--n",
+                         str(10**18), "--grid-size", "256"], EXIT_BOUND,
+                        "--n"),
 }
 
 
@@ -285,6 +299,9 @@ def bad_input_paths(tmp_path):
         "snr_inf": {"noise": {"snr_target": float("inf")}},
         "seed_negative": {"experiment": dict(doc["experiment"], seed=-1)},
         "N_true": {"experiment": dict(doc["experiment"], N=True)},
+        "N_huge": {"experiment": dict(doc["experiment"], N=1e18)},
+        "grid_huge": {"crb": {"grid_size": 1e18}},
+        "n_huge": {"crb": {"kind": "finite_order", "n": 1e18}},
         "f_not_monic": {"system": dict(doc["system"], F=[2.0, -0.5])},
         "l_constant": {"system": dict(doc["system"], L=[1.0, 1.0])},
         "f_degree0": {"system": dict(doc["system"], F=[1.0])},

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
+from wnsf import lti
 from wnsf.lti import (
     BjModel,
     Polynomial,
@@ -15,8 +22,30 @@ from wnsf.lti import (
     toeplitz_matrix,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 finite_coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 poly_strategy = st.lists(finite_coeff, min_size=1, max_size=6).map(Polynomial)
+
+
+def _stable_den(poles, pairs):
+    """The monic product of (1 - p q^-1) over the real poles and of
+    (1 - 2 r cos(t) q^-1 + r^2 q^-2) over the pairs (r, t)."""
+    a = np.array([1.0])
+    for p in poles:
+        a = np.convolve(a, [1.0, -p])
+    for r, t in pairs:
+        a = np.convolve(a, [1.0, -2.0 * r * np.cos(t), r * r])
+    return a
+
+
+# at least one pole: a denominator of degree 0 takes the FIR branch
+stable_den = st.builds(
+    _stable_den, st.lists(st.floats(-0.95, 0.95), max_size=3),
+    st.lists(st.tuples(st.floats(0.0, 0.95), st.floats(0.0, np.pi)),
+             max_size=2)).filter(lambda a: len(a) > 1)
+# a leading coefficient: 1 (monic) or a scale of either sign
+den_lead = st.just(1.0) | st.floats(0.25, 4.0) | st.floats(-4.0, -0.25)
 
 
 class TestPolyMul:
@@ -108,6 +137,86 @@ class TestFilter:
         bound = 4 * len(b.coeffs) * np.finfo(float).eps * np.sum(
             np.abs(b.coeffs)) * np.max(np.abs(x))
         assert np.max(np.abs(got - want)) <= bound
+
+
+class TestIirKernel:
+    """The compiled kernel gives the bits of ``scipy.signal.lfilter``, and
+    ``lfilter`` takes over when the kernel cannot be loaded or trusted."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stable_den, den_lead, st.integers(-3, 3), st.integers(0, 3),
+           st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_bitwise_lfilter(self, den, lead, b_extra, rows, length, seed):
+        # len(b) above, at and below len(a); rows as short as one sample,
+        # shorter than the filter
+        rng = np.random.default_rng(seed)
+        a = lead * den
+        b = rng.uniform(-10, 10, max(1, len(a) + b_extra))
+        x = rng.standard_normal((length,) if rows == 0 else (rows, length))
+        want = signal.lfilter(b, a, x)
+        got = lti._lfilter(b, a, x, -1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if lead == 1.0:
+            got = filter_signal(RationalFilter(Polynomial(b), Polynomial(a)),
+                                x)
+            assert got.tobytes() == want.tobytes()
+
+    def _assert_falls_back(self, monkeypatch, load):
+        f = RationalFilter(Polynomial([0.5, 1.0, 0.1]),
+                           Polynomial([1.0, -0.5, 0.75]))
+        x = np.random.default_rng(4).standard_normal((3, 500))
+        want = filter_signal(f, x)
+        # as if scipy.signal had not loaded the kernel module
+        monkeypatch.delitem(sys.modules, lti._KERNEL)
+        monkeypatch.setattr(lti, "_load_kernel", load)
+        chosen = lti._iir_filter()
+        assert chosen is signal.lfilter
+        # a module loaded for a kernel that is not used does not stay
+        assert lti._KERNEL not in sys.modules
+        monkeypatch.setattr(lti, "_lfilter", chosen)
+        assert filter_signal(f, x).tobytes() == want.tobytes()
+
+    def test_load_error_falls_back(self, monkeypatch):
+        load = lti._load_kernel
+
+        def loads_then_fails():
+            load()
+            raise ImportError("kernel unusable")
+
+        self._assert_falls_back(monkeypatch, loads_then_fails)
+
+    def test_check_mismatch_falls_back(self, monkeypatch):
+        load = lti._load_kernel
+
+        def one_ulp_off():
+            kernel = load()
+            return lambda *args: np.nextafter(kernel(*args), np.inf)
+
+        self._assert_falls_back(monkeypatch, one_ulp_off)
+
+    def test_cli_import_leaves_scipy_signal_out(self):
+        # a fresh interpreter: this one has imported scipy.signal
+        script = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import wnsf.cli",
+            "from wnsf.lti import Polynomial, RationalFilter, filter_signal",
+            "loaded = {'scipy.signal', 'scipy.stats'} & set(sys.modules)",
+            "assert not loaded, loaded",
+            "f = RationalFilter(Polynomial([0.0, 1.0, 0.1]),",
+            "                   Polynomial([1.0, -0.5, 0.75]))",
+            "x = np.random.default_rng(0).standard_normal((3, 200))",
+            "y = filter_signal(f, x)",
+            # scipy.signal still imports, beside the kernel loaded for it
+            "from scipy.signal import lfilter",
+            "z = lfilter(f.num.coeffs, f.den.coeffs, x)",
+            "assert z.tobytes() == y.tobytes()",
+            "assert filter_signal(f, x).tobytes() == y.tobytes()",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestImpulseResponse:
