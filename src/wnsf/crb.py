@@ -10,6 +10,14 @@ covariance Rbar^n is never formed.  T^-1 is applied to Q by filtering with
 is trapezoidal on a uniform grid over [0, pi]; conjugate symmetry gives the
 full-circle value as twice the real part.
 
+On that grid of W points, omega_j = pi j / (W - 1), so Z^T Gamma_n is one
+real FFT of length L = 2(W - 1), whose W bins are the grid points, with row
+k of Z at index k (``_gamma_product``); the n x W table Gamma_n is never
+formed.  e^{-ik omega_j} has period L in k, so rows past L fold: row k is
+added at index k mod L.  L is never padded to a faster length, which would
+move the bins.  Each of the three matrices that is not positive definite
+raises ``NonInformativeError``.
+
 The r -> u filter comes from ``simulate.reference_path``, the one place that
 defines the loop paths, so the bounds describe the same experiment that
 ``simulate.generate`` runs.
@@ -20,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import rfft
 
 from .arx import true_eta
 from .estimator import ModelOrders, apply_T_inverse, build_Q
@@ -133,14 +142,27 @@ def build_omega_matrix(system: BjModel, orders: ModelOrders,
     return out
 
 
+def _gamma_product(X: np.ndarray, grid_size: int) -> np.ndarray:
+    """X^T Gamma_m on the W-point grid of ``_quad_weights`` for real X with
+    m rows; shape (cols, W).  One real FFT of length 2(W - 1), with row k of
+    X at index k, folded in blocks of that length when m reaches it."""
+    m, cols = X.shape
+    size = 2 * (grid_size - 1)
+    x = np.zeros((cols, (m // size + 1) * size))
+    x[:, 1:m + 1] = X.T
+    return rfft(x.reshape(cols, -1, size).sum(axis=1), axis=-1)
+
+
 def _lambda_projected(Z: np.ndarray, sm: SpectrumModel,
-                      omega: np.ndarray) -> np.ndarray:
-    """Z^T Lambda_n on the grid for Z with 2n rows; shape (cols, 2, W).
-    Lambda_n = [-Gamma_n G, -Gamma_n H; Gamma_n, 0] maps [u e]^T to the ARX
-    regressor [-y; u] of order n; only Z^T Gamma_n is formed."""
-    n = Z.shape[0] // 2
-    gam = _gamma(n, omega)
-    Za, Zb = Z[:n].T @ gam, Z[n:].T @ gam
+                      grid_size: int) -> np.ndarray:
+    """Z^T Lambda_n on the grid of ``_quad_weights`` for Z with 2n rows;
+    shape (cols, 2, W).  Lambda_n = [-Gamma_n G, -Gamma_n H; Gamma_n, 0]
+    maps [u e]^T to the ARX regressor [-y; u] of order n; only Z^T Gamma_n
+    is formed, both halves in one FFT."""
+    n, cols = Z.shape[0] // 2, Z.shape[1]
+    omega, _ = _quad_weights(grid_size)
+    prod = _gamma_product(np.hstack([Z[:n], Z[n:]]), len(omega))
+    Za, Zb = prod[:cols], prod[cols:]
     G, H = (freq_response(f, omega) for f in (sm.system.G, sm.system.H))
     return np.stack([Zb - Za * G, -Za * H], axis=1)
 
@@ -150,7 +172,12 @@ def _integrate(A: np.ndarray, Pz: np.ndarray, w: np.ndarray) -> np.ndarray:
     symmetrised, for A of shape (m, c, W), Pz of shape (W, c, c) and the
     quadrature weights w of ``_quad_weights``."""
     m = A.shape[0]
-    AP = np.einsum("iaw,wab->ibw", A, Pz * w[:, None, None])
+    weighted = np.moveaxis(Pz * w[:, None, None], 0, -1)     # (c, c, W)
+    # A Phi_z summed channel by channel: one (m, c, c, W) product would
+    # raise the peak memory of every caller
+    AP = A[:, :1] * weighted[0]
+    for a in range(1, A.shape[1]):
+        AP += A[:, a:a + 1] * weighted[a]
     M = (AP.reshape(m, -1) @ np.conj(A).reshape(m, -1).T).real / np.pi
     return 0.5 * (M + M.T)
 
@@ -204,5 +231,6 @@ def mbar_limit(sm: SpectrumModel, n: int,
     Q = build_Q(true_eta(sm.system, _integer(n, "n", 1)), sm.orders)
     Z = apply_T_inverse(sm.system, Q)
     omega, w = _quad_weights(grid_size)
-    A = _lambda_projected(Z, sm, omega)                     # (dim, 2, W)
-    return _integrate(A, phi_z(sm, omega), w)
+    A = _lambda_projected(Z, sm, grid_size)                 # (dim, 2, W)
+    return _positive_definite(_integrate(A, phi_z(sm, omega), w),
+                              "finite-order information matrix")

@@ -218,6 +218,13 @@ BAD_INPUTS = {
     "finite_order_c_not_inversely_stable": (
         ["crb", "{c_unstable}", "--kind", "finite_order", "--n", "20",
          "--grid-size", "256"], EXIT_BOUND, "noise model"),
+    # no reference and no feedback: full and reference_only exited 5, and
+    # finite_order wrote a singular matrix and exited 0
+    "finite_order_non_informative": (
+        ["crb", "{non_informative}", "--kind", "finite_order", "--n", "20",
+         "--grid-size", "256"], EXIT_BOUND,
+        "(finite_order, n = 20): finite-order information matrix not "
+        "positive definite"),
     "crb_pole_on_unit_circle": (["crb", "{unit_root}", "--grid-size", "256"],
                                 EXIT_BOUND, "unit circle"),
     "crb_snr_target": (["crb", "{snr}"], EXIT_CONFIG, "noise.snr_target"),
@@ -293,6 +300,9 @@ def bad_input_paths(tmp_path):
         "snr": {"noise": {"snr_target": 50.0}},
         "c_unstable": {"system": dict(doc["system"], C=[1.0, 2.0])},
         "unit_root": {"system": dict(doc["system"], F=[1.0, -2.0, 1.0])},
+        "non_informative": {"experiment": dict(doc["experiment"],
+                                               loop_kind="open"),
+                            "reference": {"gain": 0.0}},
         "std_nan": {"noise": {"std": float("nan")}},
         "std_inf": {"noise": {"std": float("inf")}},
         "gain_minus_inf": {"reference": {"gain": float("-inf")}},

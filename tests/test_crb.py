@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -80,8 +81,18 @@ def rbar_matrix(sm, n, grid_size=crb.GRID_SIZE_DEFAULT):
     """Limit regressor covariance Rbar^n by ``crb``'s own quadrature, with
     A = Lambda_n; no production path forms it."""
     omega, w = crb._quad_weights(grid_size)
-    Lam = crb._lambda_projected(np.eye(2 * n), sm, omega)
+    Lam = crb._lambda_projected(np.eye(2 * n), sm, grid_size)
     return crb._integrate(Lam, phi_z(sm, omega), w)
+
+
+def direct_gamma_product(X, grid_size, bins):
+    """X^T Gamma_m term by term at the grid points ``bins``.  The phase
+    k omega_j = pi k j / (W - 1) is reduced modulo 2 pi in integers, so the
+    sum keeps its digits at lags far past the FFT length."""
+    k = np.arange(1, X.shape[0] + 1)
+    size = 2 * (grid_size - 1)
+    phase = np.pi * (np.outer(k, bins) % size) / (grid_size - 1)
+    return X.T @ np.exp(-1j * phase)
 
 
 def oracle_mbar(sm, n, grid_size):
@@ -258,6 +269,32 @@ class TestComputeMcl:
             compute_mcl(sm)
 
 
+class TestGammaProduct:
+    """X^T Gamma_m by one real FFT equals the direct sum over the lags,
+    including m past the FFT length 2(W - 1), where the lags fold."""
+
+    @pytest.mark.parametrize("grid_size", [2, 3, 5, 17, 512, 8192])
+    def test_matches_direct_sum(self, grid_size):
+        size = 2 * (grid_size - 1)
+        omega, _ = crb._quad_weights(grid_size)
+        # at most 65 grid points keep the direct sum small at grid 8192
+        bins = np.unique(np.r_[np.arange(0, grid_size,
+                                         max(1, grid_size // 64)),
+                               grid_size - 1])
+        # the FFT bins are the grid of the quadrature
+        assert np.allclose(omega[bins], np.pi * bins / (grid_size - 1),
+                           rtol=0, atol=1e-15)
+        rng = np.random.default_rng(grid_size)
+        orders = sorted({1, 2, size - 1, size, size + 1, 2 * size + 3})
+        for i, m in enumerate(orders):
+            X = rng.standard_normal((m, 1 + i % 3))
+            got = crb._gamma_product(X, grid_size)
+            assert got.shape == (X.shape[1], grid_size)
+            want = direct_gamma_product(X, grid_size, bins)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got[:, bins] - want)) <= 1e-13 * scale, m
+
+
 class TestMbarLimit:
     def test_symmetric_positive_definite(self, closed_sm):
         M = mbar_limit(closed_sm, n=50, grid_size=2048)
@@ -286,6 +323,26 @@ class TestMbarLimit:
         target = closed_sm.sigma2 * np.linalg.inv(rbar_matrix(closed_sm, n))
         rel = np.abs(np.diag(emp) - np.diag(target)) / np.diag(target)
         assert np.max(rel) < 0.25
+
+    def test_non_informative_experiment_detected(self, bench_system):
+        # no reference and no feedback: u = 0, so M-bar is singular
+        sm = SpectrumModel(system=bench_system,
+                           controller=RationalFilter(Polynomial([0.0])),
+                           reference_filter=RationalFilter(Polynomial([1.0])),
+                           reference_gain=0.0, sigma2=1.0, loop_kind="open")
+        with pytest.raises(NonInformativeError, match="finite-order"):
+            mbar_limit(sm, n=20, grid_size=256)
+
+    def test_gamma_table_never_formed(self, closed_sm):
+        # the n x W table of exponentials alone takes 25 MiB at n = 200
+        mbar_limit(closed_sm, n=20, grid_size=256)      # warm the caches
+        tracemalloc.start()
+        try:
+            mbar_limit(closed_sm, n=200, grid_size=8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestOneQuadrature:
