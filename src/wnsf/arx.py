@@ -65,7 +65,8 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from .lti import BjModel, RationalFilter, impulse_response, is_stable, poly_mul
+from .lti import (BjModel, RationalFilter, impulse_response, is_stable_coeffs,
+                  poly_mul)
 from .simulate import DataSet
 
 DELTA_REG_DEFAULT = 1e-6
@@ -289,7 +290,7 @@ class ArxGrid:
 def true_eta(system: BjModel, n: int) -> np.ndarray:
     """Truncated high-order coefficients of the true system: the first n
     power-series coefficients of 1/H - 1 and of G/H."""
-    if not is_stable(system.C)[0]:
+    if not is_stable_coeffs(system.C.coeffs):
         raise ValueError("noise model is not inversely stable")
     a_filter = RationalFilter(system.D, system.C)           # 1/H = D/C
     b_filter = RationalFilter(

@@ -278,9 +278,10 @@ def _writing(flag: str):
 
 
 def _write_json(path, payload):
-    """Write ``payload`` to the file ``path``, or to stdout if it is None."""
+    """Write ``payload`` to the file ``path``, or to stdout if it is None.
+    A non-finite number raises ValueError: JSON has no NaN or Infinity."""
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

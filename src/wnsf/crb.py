@@ -229,7 +229,8 @@ def mbar_limit(sm: SpectrumModel, n: int,
     """Finite-n information matrix Q^T T^-T Rbar^n T^-1 Q at the true
     parameters; converges to M_CR as n grows."""
     Q = build_Q(true_eta(sm.system, _integer(n, "n", 1)), sm.orders)
-    Z = apply_T_inverse(sm.system, Q)
+    system = sm.system
+    Z = apply_T_inverse(system.F.coeffs, system.L.coeffs, system.C.coeffs, Q)
     omega, w = _quad_weights(grid_size)
     A = _lambda_projected(Z, sm, grid_size)                 # (dim, 2, W)
     return _positive_definite(_integrate(A, phi_z(sm, omega), w),

@@ -13,6 +13,13 @@ the tests.  Without a noise model (output error) the weighting is
 (``ArxEstimate.R_inv``) and Tbar R^-1 Tbar^T is two FIR filterings of its
 columns, by L and by F, so Tbar is never formed either.  The ARX order n and
 the iteration are selected by the quadratic prediction-error cost.
+
+The per-iterate path works on coefficient arrays: step 3 and ``pem_cost``
+read F, L, C and D from theta's blocks (``ModelOrders.polynomials``) and
+filter with ``lti.filter_coeffs``, and their stability verdicts come from
+the Schur-Cohn screen of ``lti.is_stable_coeffs``, which finds roots only
+for a polynomial it cannot pass.  No model object is built per iterate;
+``ThetaEstimate.model`` builds the one a caller asks for.
 """
 
 from __future__ import annotations
@@ -30,9 +37,11 @@ from .lti import (
     TOL_STAB,
     BjModel,
     Polynomial,
-    RationalFilter,
-    filter_signal,
+    _schur_cohn_screen,
+    filter_coeffs,
     is_stable,
+    is_stable_coeffs,
+    split_theta,
     toeplitz_matrix,
 )
 from .simulate import DataSet, _finite, _integer
@@ -92,6 +101,10 @@ class ModelOrders:
     def model(self, theta) -> BjModel:
         return BjModel.from_theta(theta, self.m_f, self.m_l, self.m_c, self.m_d)
 
+    def polynomials(self, theta):
+        """The coefficient arrays (F, L, C, D) of ``model(theta)``."""
+        return split_theta(theta, self.m_f, self.m_l, self.m_c, self.m_d)
+
 
 @dataclass
 class ThetaEstimate:
@@ -113,8 +126,8 @@ class ThetaEstimate:
     @property
     def stable_noise_model(self) -> bool:
         """Whether C and D are both stable (H and 1/H stable)."""
-        model = self.model
-        return is_stable(model.C)[0] and is_stable(model.D)[0]
+        _, _, C, D = self.orders.polynomials(self.theta)
+        return is_stable_coeffs(C) and is_stable_coeffs(D)
 
     def to_json(self):
         return {
@@ -129,7 +142,10 @@ class ThetaEstimate:
             "stable_noise_model": self.stable_noise_model,
             "reflected": self.reflected,
             "regularized": self.regularized,
-            "trace": self.trace,
+            # JSON has no infinity: an unstable predictor's cost is null
+            "trace": [dict(entry, pem_cost=None)
+                      if not math.isfinite(entry["pem_cost"]) else entry
+                      for entry in self.trace],
             "failures": _failures_json(self.failures),
         }
 
@@ -174,8 +190,8 @@ def build_Q(eta: np.ndarray, orders: ModelOrders) -> np.ndarray:
     n = len(eta) // 2
     if n < max(orders.m_f, orders.m_l, orders.m_c, orders.m_d):
         raise ValueError("ARX order n is below the requested model orders")
-    a_poly = Polynomial(np.concatenate([[1.0], eta[:n]]))
-    b_poly = Polynomial(np.concatenate([[0.0], eta[n:]]))
+    a_poly = np.concatenate([[1.0], eta[:n]])
+    b_poly = np.concatenate([[0.0], eta[n:]])
 
     Q = np.zeros((2 * n, orders.dim))
     j = 0
@@ -205,22 +221,24 @@ def build_T(theta: np.ndarray, n: int, orders: ModelOrders) -> np.ndarray:
     return T
 
 
-def apply_T_inverse(model: BjModel, X: np.ndarray) -> np.ndarray:
-    """T^-1 X for X with 2n rows, T built from the C, L and F of ``model``,
-    whose C and F the caller has found stable.  By forward substitution: each
-    column is filtered with zero initial conditions, Z_a = X_a / C and
-    Z_b = (X_b + L Z_a) / F."""
+def apply_T_inverse(F: np.ndarray, L: np.ndarray, C: np.ndarray,
+                    X: np.ndarray) -> np.ndarray:
+    """T^-1 X for X with 2n rows, T built from the coefficient arrays F, L
+    and C (``ModelOrders.polynomials``), whose F and C the caller has found
+    stable.  By forward substitution: each column is filtered with zero
+    initial conditions, Z_a = X_a / C and Z_b = (X_b + L Z_a) / F."""
     n = len(X) // 2
-    # filter_signal runs along the last axis; the columns of X are signals
-    z_a = filter_signal(RationalFilter(ONE, model.C), X[:n].T)
-    z_b = filter_signal(RationalFilter(ONE, model.F),
-                        X[n:].T + filter_signal(RationalFilter(model.L), z_a))
+    one = ONE.coeffs
+    # filter_coeffs runs along the last axis; the columns of X are signals
+    z_a = filter_coeffs(one, C, X[:n].T)
+    z_b = filter_coeffs(one, F, X[n:].T + filter_coeffs(L, one, z_a))
     return np.concatenate([z_a, z_b], axis=-1).T
 
 
 def build_T_inverse(theta: np.ndarray, n: int, orders: ModelOrders) -> np.ndarray:
     """Dense T^-1, ``apply_T_inverse`` on the identity, for the tests."""
-    return apply_T_inverse(orders.model(theta), np.eye(2 * n))
+    F, L, C, _ = orders.polynomials(theta)
+    return apply_T_inverse(F, L, C, np.eye(2 * n))
 
 
 def _solve_ls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,9 +275,9 @@ def step3_wls(arx: ArxEstimate, theta_prev: np.ndarray,
     T^-1 is applied to [Q | eta] in one filtering pass.
     """
     theta_prev, reflected = reflect_unstable(theta_prev, orders)
-    model = orders.model(theta_prev)
+    F, L, C, _ = orders.polynomials(theta_prev)
     X = np.column_stack([build_Q(arx.eta, orders), arx.eta])
-    GZ = arx.apply_factor(apply_T_inverse(model, X))
+    GZ = arx.apply_factor(apply_T_inverse(F, L, C, X))
     theta = _solve_ls(GZ[:, :-1], GZ[:, -1])
     return ThetaEstimate(theta, orders, n_used=arx.n, iterations=1,
                          reflected=reflected)
@@ -279,16 +297,15 @@ def step3_wls_oe(arx: ArxEstimate, theta_prev: np.ndarray,
     if not orders.is_oe:
         raise ValueError("OE step requires m_c = m_d = 0")
     theta_prev, reflected = reflect_unstable(theta_prev, orders)
-    model = orders.model(theta_prev)
+    F, L, _, _ = orders.polynomials(theta_prev)
     n = arx.n
     Q2 = build_Q(arx.eta, orders)[n:, :]
-    f_filter, l_filter = RationalFilter(model.F), RationalFilter(model.L)
+    one = ONE.coeffs
 
     def tbar(X):
-        # (Tbar X^T)^T for X with 2n columns: filter_signal runs along the
+        # (Tbar X^T)^T for X with 2n columns: filter_coeffs runs along the
         # last axis, so the rows of X are the signals
-        return (filter_signal(f_filter, X[:, n:])
-                - filter_signal(l_filter, X[:, :n]))
+        return filter_coeffs(F, one, X[:, n:]) - filter_coeffs(L, one, X[:, :n])
 
     # R^-1 Tbar^T (2n x n), then Tbar R^-1 Tbar^T
     S_w = tbar(tbar(arx.R_inv).T)
@@ -306,14 +323,17 @@ def reflect_unstable(theta: np.ndarray, orders: ModelOrders):
     (|z| >= 1 - TOL_STAB) to 1/conj(root), clamped to magnitude
     ``REFLECT_CLAMP``.  Returns (theta, changed): a copy of theta with the
     reflected F and C blocks, or theta itself when nothing was reflected.
-    Step 3 calls it on the estimate it weights with."""
+    Step 3 calls it on the estimate it weights with.  Roots are found only
+    for a block the Schur-Cohn screen of ``is_stable_coeffs`` does not pass."""
     if len(theta) != orders.dim:
         raise ValueError("theta length does not match the given orders")
     out = theta
     for start, m in ((0, orders.m_f), (orders.dyn_dim, orders.m_c)):
         block = slice(start, start + m)
-        stable, roots = is_stable(Polynomial(np.concatenate([[1.0],
-                                                             theta[block]])))
+        coeffs = np.concatenate([[1.0], theta[block]])
+        if _schur_cohn_screen(coeffs):
+            continue
+        stable, roots = is_stable(Polynomial(coeffs))
         if stable:
             continue
         bad = np.abs(roots) >= 1.0 - TOL_STAB
@@ -330,11 +350,11 @@ def reflect_unstable(theta: np.ndarray, orders: ModelOrders):
 def pem_cost(theta: np.ndarray, data: DataSet, orders: ModelOrders) -> float:
     """Quadratic prediction-error cost (1/N) sum eps_t^2 with zero initial
     conditions; +inf when the predictor (C or F) is unstable."""
-    model = orders.model(theta)
-    if not (is_stable(model.C)[0] and is_stable(model.F)[0]):
+    F, L, C, D = orders.polynomials(theta)
+    if not (is_stable_coeffs(C) and is_stable_coeffs(F)):
         return math.inf
-    resid = data.y - filter_signal(model.G, data.u)
-    eps = filter_signal(RationalFilter(model.D, model.C), resid)
+    resid = data.y - filter_coeffs(L, F, data.u)   # y - G u
+    eps = filter_coeffs(D, C, resid)               # H^-1 (y - G u)
     return float(np.mean(eps**2))
 
 

@@ -12,7 +12,14 @@ imports ``scipy.stats``) would take most of the command-line start-up time.
 The kernel is private to scipy, so at import it must filter a fixed impulse
 pair to the exact dyadic values a correct kernel gives.  If it cannot be
 loaded or fails that check, ``lfilter`` is used, and a module loaded here is
-taken out of ``sys.modules`` again.
+taken out of ``sys.modules`` again.  ``filter_coeffs`` is the same filter on
+coefficient arrays, for callers that hold no ``RationalFilter``.
+
+Stability is one rule: all roots inside |z| < 1 - TOL_STAB.
+``is_stable_coeffs`` decides it by a Schur-Cohn recursion with a rounding
+bound (``_schur_cohn_screen``) and, only for a polynomial the recursion
+cannot pass, by the moduli of its roots from ``is_stable``, which returns
+them as well and is the only caller of ``np.roots``.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import scipy
-from scipy.linalg import toeplitz as _toeplitz
 
 TOL_STAB = 1e-9
 
@@ -85,28 +91,109 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
+_U = 2.0 ** -53          # unit roundoff of a double
+_INV_RHO = 1.0 / (1.0 - TOL_STAB)
+STAB_SCREEN_MARGIN = 1e-6  # tau: how far each reflection coefficient clears 1
+_SCREEN_LIMIT = 1.0 - STAB_SCREEN_MARGIN
+
+
+def _schur_cohn_screen(coeffs) -> bool:
+    """True only if the monic polynomial ``coeffs`` is certainly stable:
+    every root inside |z| < rho = 1 - TOL_STAB.  False means "not decided".
+
+    The Schur-Cohn (Jury) step-down recursion runs on X(q^-1 / rho), whose
+    roots are those of X divided by rho: with k = a_d, the last coefficient
+    of the degree-d polynomial a, the next one is
+
+        a'_i = (a_i - k a_{d-i}) / (1 - k^2),   i = 0 .. d-1,
+
+    and all roots lie inside the unit circle exactly when every k so met has
+    |k| < 1.  In floats 1 - k^2 cancels as |k| nears 1, so beside each
+    coefficient the recursion carries e, a bound on the distance of every
+    computed coefficient from the one exact arithmetic gives on the same
+    input.  It starts at (2m + 2) u max |a_k| for the scaling by rho^-k
+    (u = 2^-53) and grows by first-order error propagation through one
+    step, with every e^2 term and the rounding of each operation kept, and
+    a factor 1 + 1e-12 for the rounding of the bound's own evaluation.  The
+    screen accepts only if every |k| + e <= 1 - tau, so that every exact
+    reflection coefficient has |k| < 1: an accepted polynomial is stable.
+
+    tau = ``STAB_SCREEN_MARGIN`` keeps the screen off the polynomials whose
+    roots ``np.roots`` may place on the wrong side of rho, so that where it
+    accepts, ``np.roots`` agrees.  For a p-fold root at rho (1 - eps),
+    1 - |k| shrinks like eps^p (a double root gives eps^2 / 2), so the
+    screen accepts only eps of order tau^(1/p) or more, while the
+    eigenvalues misplace such a root by about u^(1/p): tau = 1e-6 keeps
+    the two (tau / u)^(1/p) apart, 1e5 for a double root.  Plain Python
+    floats: 1-4 us at the degrees of step 3, against 40-50 us for
+    ``np.roots``.  A non-finite or non-monic input is refused, and the
+    caller's fallback raises.
+    """
+    a = np.asarray(coeffs, dtype=float).tolist()
+    if not a or a[0] != 1.0:
+        return False
+    m = len(a) - 1
+    scale = 1.0
+    for i in range(1, m + 1):
+        scale *= _INV_RHO
+        a[i] *= scale
+    err = (2 * m + 2) * _U * max(map(abs, a))
+    for d in range(m, 1, -1):
+        k = a[d]
+        ak = abs(k)
+        if not ak + err <= _SCREEN_LIMIT:  # also refuses nan
+            return False
+        den = 1.0 - k * k
+        d_den = err * (2.0 * ak + err) + 2.0 * _U  # bounds |1 - k^2 - den|
+        if not d_den <= 0.5 * den:
+            return False
+        inner = a[1:d]
+        nums = [x - k * y for x, y in zip(inner, reversed(inner))]
+        big, num_big = max(map(abs, inner)), max(map(abs, nums))
+        d_num = err * (1.0 + ak + big + err) + 2.0 * _U * (ak * big + num_big)
+        a = [1.0] + [x / den for x in nums]
+        q = num_big / den  # the largest |a'_i|, as rounded
+        err = ((d_num + 2.0 * q * d_den) / (den - d_den)
+               + 2.0 * _U * q) * (1.0 + 1e-12)
+    return m == 0 or abs(a[1]) + err <= _SCREEN_LIMIT
+
+
 def is_stable(p: Polynomial):
     """Whether all roots of a monic polynomial lie inside |z| < 1 - TOL_STAB.
 
     Returns ``(stable, roots)``, the m = ``p.degree`` roots of z^m X(z^-1)
     (np.roots); each trailing zero coefficient is a root at 0, which no
-    verdict depends on.  The package's only root finder.
+    verdict depends on.  The verdict is ``is_stable_coeffs``'s: the Schur-Cohn
+    screen where it decides, else the moduli of these roots.  The package's
+    only root finder; a caller that needs only the verdict calls
+    ``is_stable_coeffs``, which finds roots only where the screen refuses.
     """
     if not p.is_monic:
         raise ValueError("stability test requires a monic polynomial")
     roots = np.roots(p.coeffs)
-    return bool(np.all(np.abs(roots) < 1.0 - TOL_STAB)), roots
+    stable = (_schur_cohn_screen(p.coeffs)
+              or bool(np.all(np.abs(roots) < 1.0 - TOL_STAB)))
+    return stable, roots
 
 
-def toeplitz_matrix(p: Polynomial, n: int, m: int) -> np.ndarray:
+def is_stable_coeffs(coeffs) -> bool:
+    """``is_stable(Polynomial(coeffs))[0]`` for a monic coefficient array,
+    without the roots when the Schur-Cohn screen accepts it."""
+    return _schur_cohn_screen(coeffs) or is_stable(Polynomial(coeffs))[0]
+
+
+def toeplitz_matrix(p, n: int, m: int) -> np.ndarray:
     """The n-by-m lower-triangular Toeplitz matrix with first column
-    ``[x_0, ..., x_{n-1}]`` and first row ``[x_0, 0, ..., 0]``."""
+    ``[x_0, ..., x_{n-1}]`` and first row ``[x_0, 0, ..., 0]``, for a
+    ``Polynomial`` or its coefficient array."""
+    coeffs = p.coeffs if isinstance(p, Polynomial) else p
     col = np.zeros(n)
-    k = min(n, len(p.coeffs))
-    col[:k] = p.coeffs[:k]
-    row = np.zeros(m)
-    row[0] = col[0]
-    return _toeplitz(col, row)
+    k = min(n, len(coeffs))
+    col[:k] = coeffs[:k]
+    T = np.zeros((n, m))
+    for j in range(min(n, m)):
+        T[j:, j] = col[:n - j]
+    return T
 
 
 @dataclass(frozen=True)
@@ -179,20 +266,26 @@ def _iir_filter():
 _lfilter = _iir_filter()
 
 
-def filter_signal(f: RationalFilter, x: np.ndarray) -> np.ndarray:
-    """Apply num/den along the last axis of x as a direct-form difference
-    equation with zero initial state.  Output length equals input length.
+def filter_coeffs(num: np.ndarray, den: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """``filter_signal`` on coefficient arrays: num/den (den monic) along
+    the last axis of x, with zero initial state.
 
-    A FIR filter (den = 1) is a sum of shifted copies of x, taken over all
+    A FIR filter (den = [1]) is a sum of shifted copies of x, taken over all
     rows at once: lfilter would convolve the rows one by one in Python."""
     x = np.asarray(x, dtype=float)
-    if f.den.degree > 0:
-        return _lfilter(f.num.coeffs, f.den.coeffs, x, -1)
-    b = f.num.coeffs
-    y = b[0] * x
-    for k in range(1, min(len(b), x.shape[-1])):
-        y[..., k:] += b[k] * x[..., :-k]
+    if len(den) > 1:
+        return _lfilter(num, den, x, -1)
+    y = num[0] * x
+    for k in range(1, min(len(num), x.shape[-1])):
+        y[..., k:] += num[k] * x[..., :-k]
     return y
+
+
+def filter_signal(f: RationalFilter, x: np.ndarray) -> np.ndarray:
+    """Apply num/den along the last axis of x as a direct-form difference
+    equation with zero initial state.  Output length equals input length."""
+    return filter_coeffs(f.num.coeffs, f.den.coeffs, x)
 
 
 def impulse_response(f: RationalFilter, length: int) -> np.ndarray:
@@ -268,16 +361,9 @@ class BjModel:
 
     @classmethod
     def from_theta(cls, theta, m_f: int, m_l: int, m_c: int = 0, m_d: int = 0) -> "BjModel":
-        theta = np.asarray(theta, dtype=float)
-        if len(theta) != m_f + m_l + m_c + m_d:
-            raise ValueError("theta length does not match the given orders")
-        f, l, c, d = np.split(theta, np.cumsum([m_f, m_l, m_c]))
-        return cls(
-            L=Polynomial(np.concatenate([[0.0], l])),
-            F=Polynomial(np.concatenate([[1.0], f])),
-            C=Polynomial(np.concatenate([[1.0], c])),
-            D=Polynomial(np.concatenate([[1.0], d])),
-        )
+        F, L, C, D = split_theta(theta, m_f, m_l, m_c, m_d)
+        return cls(L=Polynomial(L), F=Polynomial(F), C=Polynomial(C),
+                   D=Polynomial(D))
 
     def to_json(self):
         return {
@@ -295,3 +381,19 @@ class BjModel:
             C=Polynomial.from_json(data.get("C", [1.0])),
             D=Polynomial.from_json(data.get("D", [1.0])),
         )
+
+
+def split_theta(theta, m_f: int, m_l: int, m_c: int = 0, m_d: int = 0):
+    """The coefficient arrays (F, L, C, D) of theta = [f; l; c; d]: F, C
+    and D monic, L with a zero constant term.  The arrays of
+    ``BjModel.from_theta``, without the model."""
+    theta = np.asarray(theta, dtype=float)
+    if len(theta) != m_f + m_l + m_c + m_d:
+        raise ValueError("theta length does not match the given orders")
+    if not np.isfinite(theta).all():
+        raise ValueError("coefficients must be finite")
+    i, j, k = m_f, m_f + m_l, m_f + m_l + m_c
+    return (np.concatenate(([1.0], theta[:i])),
+            np.concatenate(([0.0], theta[i:j])),
+            np.concatenate(([1.0], theta[j:k])),
+            np.concatenate(([1.0], theta[k:])))

@@ -24,7 +24,7 @@ from .lti import (
     Polynomial,
     RationalFilter,
     filter_signal,
-    is_stable,
+    is_stable_coeffs,
     poly_add,
     poly_mul,
 )
@@ -177,7 +177,7 @@ def reference_path(system: BjModel, controller: RationalFilter,
 
 def _check_loop(cfg: LoopConfig):
     s = sensitivity(cfg.system, cfg.controller)
-    if not is_stable(s.den)[0]:
+    if not is_stable_coeffs(s.den.coeffs):
         raise UnstableLoopError("closed-loop sensitivity is unstable")
     return s
 

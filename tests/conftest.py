@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from wnsf import (
@@ -12,6 +15,8 @@ from wnsf import (
     generate,
 )
 from wnsf.arx import DELTA_REG_DEFAULT, build_regressors
+from wnsf.estimator import ThetaEstimate, _solve_ls, build_Q, reflect_unstable
+from wnsf.lti import ONE, filter_signal, is_stable
 
 # one line per acceptance criterion, echoed in the terminal summary where
 # output capture cannot swallow it
@@ -126,3 +131,55 @@ def interleaved_factor(R_reg: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of R_reg is not positive definite")
     return U
+
+
+# The model-built step 3 and PEM cost: the array path of ``wnsf.estimator``
+# must match them bit for bit.
+
+def reference_apply_T_inverse(model: BjModel, X: np.ndarray) -> np.ndarray:
+    """T^-1 X by filtering with the filters of ``model``."""
+    n = len(X) // 2
+    z_a = filter_signal(RationalFilter(ONE, model.C), X[:n].T)
+    z_b = filter_signal(RationalFilter(ONE, model.F),
+                        X[n:].T + filter_signal(RationalFilter(model.L), z_a))
+    return np.concatenate([z_a, z_b], axis=-1).T
+
+
+def reference_step3_wls(arx, theta_prev, orders) -> ThetaEstimate:
+    theta_prev, reflected = reflect_unstable(theta_prev, orders)
+    model = orders.model(theta_prev)
+    X = np.column_stack([build_Q(arx.eta, orders), arx.eta])
+    GZ = arx.apply_factor(reference_apply_T_inverse(model, X))
+    theta = _solve_ls(GZ[:, :-1], GZ[:, -1])
+    return ThetaEstimate(theta, orders, n_used=arx.n, iterations=1,
+                         reflected=reflected)
+
+
+def reference_step3_wls_oe(arx, theta_prev, orders) -> ThetaEstimate:
+    theta_prev, reflected = reflect_unstable(theta_prev, orders)
+    model = orders.model(theta_prev)
+    n = arx.n
+    Q2 = build_Q(arx.eta, orders)[n:, :]
+    f_filter, l_filter = RationalFilter(model.F), RationalFilter(model.L)
+
+    def tbar(X):
+        return (filter_signal(f_filter, X[:, n:])
+                - filter_signal(l_filter, X[:, :n]))
+
+    S_w = tbar(tbar(arx.R_inv).T)
+    S_w = 0.5 * (S_w + S_w.T)
+    Ls = cholesky(S_w, lower=True)
+    A = solve_triangular(Ls, Q2, lower=True)
+    b = solve_triangular(Ls, arx.b, lower=True)
+    theta = _solve_ls(A, b)
+    return ThetaEstimate(theta, orders, n_used=arx.n, iterations=1,
+                         reflected=reflected)
+
+
+def reference_pem_cost(theta, data, orders) -> float:
+    model = orders.model(theta)
+    if not (is_stable(model.C)[0] and is_stable(model.F)[0]):
+        return math.inf
+    resid = data.y - filter_signal(model.G, data.u)
+    eps = filter_signal(RationalFilter(model.D, model.C), resid)
+    return float(np.mean(eps**2))

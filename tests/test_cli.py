@@ -21,11 +21,12 @@ from wnsf.cli import (
     with_flags,
 )
 from wnsf.crb import SpectrumModel, compute_mcr
+from wnsf.estimator import ModelOrders
 from wnsf.lti import BjModel
 from wnsf.metrics import fit_of_models
 from wnsf.simulate import DataSet, LoopConfig, generate
 
-from conftest import unstable_predictor_record
+from conftest import random_stable_theta, unstable_predictor_record
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -422,6 +423,27 @@ class TestIdentifyCommand:
         assert code == EXIT_IDENTIFICATION
         err = capsys.readouterr().err
         assert "n=20: no iterate with a stable predictor" in err
+
+    def test_unstable_iterate_cost_is_json_null(self, tmp_path):
+        # some iterates of this record have an unstable predictor; their
+        # pem_cost of inf was written as Infinity, which JSON does not have
+        orders = ModelOrders(2, 1, 1, 1)
+        theta0 = random_stable_theta(np.random.default_rng(72), 2, 1, 1, 1)
+        generate(LoopConfig(system=orders.model(theta0), N=400,
+                            noise_std=0.5, seed=72)).to_csv(tmp_path / "d.csv")
+        out = tmp_path / "est.json"
+        code = main(["identify", "--data", str(tmp_path / "d.csv"),
+                     "--orders", "2,1,1,1", "--n-grid", "20",
+                     "--max-iter", "3", "--out", str(out)])
+        assert code == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        costs = [entry["pem_cost"] for entry in doc["trace"]]
+        assert None in costs
+        assert all(c is None or np.isfinite(c) for c in costs)
 
     def test_failures_and_ridge_in_the_estimate(self, tmp_path, capsys):
         # n = 600 needs N >= 1201; the estimate names it and says for every

@@ -13,6 +13,7 @@ from scipy.linalg import cholesky, solve_triangular
 
 import wnsf.arx as arx_module
 import wnsf.estimator as estimator_module
+import wnsf.lti as lti_module
 from wnsf.arx import (
     DELTA_REG_DEFAULT,
     ArxEstimate,
@@ -52,6 +53,9 @@ from wnsf.simulate import DataSet, LoopConfig, generate
 from conftest import (
     interleaved_factor,
     random_stable_theta,
+    reference_pem_cost,
+    reference_step3_wls,
+    reference_step3_wls_oe,
     solve_matrices,
     unstable_predictor_record,
 )
@@ -180,9 +184,65 @@ class TestApplyTInverse:
         X = rng.standard_normal(2 * n if cols is None else (2 * n, cols))
         want = solve_triangular(build_T(theta, n, orders), X, lower=True,
                                 unit_diagonal=True)
-        got = apply_T_inverse(orders.model(theta), X)
+        F, L, C, _ = orders.polynomials(theta)
+        got = apply_T_inverse(F, L, C, X)
         assert got.shape == X.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def _array_path_cases(draw):
+    m_f, m_l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    oe = draw(st.booleans())
+    m_c = 0 if oe else draw(st.integers(0, 2))
+    m_d = 0 if oe else draw(st.integers(0, 2))
+    n = draw(st.integers(8, 30))
+    # a radius above 1 puts roots of the weighting's F and C outside the
+    # unit circle, so that step 3 reflects them
+    radius = draw(st.sampled_from([0.5, 0.95, 1.5, 3.0]))
+    return (ModelOrders(m_f, m_l, m_c, m_d), n, radius,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayPath:
+    """Step 3 and the PEM cost on theta's coefficient arrays against the
+    model-built reference versions in ``conftest``: the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_array_path_cases())
+    @example((ModelOrders(2, 2, 1, 1), 20, 2.0, 76))
+    @example((ModelOrders(3, 2), 25, 1.2, 3))
+    def test_matches_model_reference(self, case):
+        orders, n, radius, seed = case
+        rng = np.random.default_rng(seed)
+        truth = random_stable_theta(rng, orders.m_f, orders.m_l, orders.m_c,
+                                    orders.m_d, 0.8)
+        data = generate(LoopConfig(system=orders.model(truth), N=200,
+                                   noise_std=0.5, seed=seed))
+        arx = estimate_arx(data, n)
+        theta_prev = random_stable_theta(rng, orders.m_f, orders.m_l,
+                                         orders.m_c, orders.m_d, radius)
+        pairs = [(step3_wls, reference_step3_wls)]
+        if orders.is_oe:
+            pairs.append((step3_wls_oe, reference_step3_wls_oe))
+        for step, reference in pairs:
+            got = _outcome(step, arx, theta_prev, orders)
+            want = _outcome(reference, arx, theta_prev, orders)
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert got.theta.tobytes() == want.theta.tobytes()
+            assert got.reflected == want.reflected
+            for theta in (theta_prev, got.theta):
+                assert (pem_cost(theta, data, orders)
+                        == reference_pem_cost(theta, data, orders))
 
 
 class TestStep2:
@@ -479,26 +539,76 @@ class TestPemCost:
 
 
 class TestIdentify:
-    def test_four_root_tests_per_iterate(self, bench_closed_cfg):
-        # step 3 tests F and C of the estimate it weights with, pem_cost
-        # those of the new iterate; nothing tests them a third time
-        data = generate(replace(bench_closed_cfg, N=2000))
-        options = WnsfOptions(n_grid=(30, 50), max_iter=5)
-        with mock.patch.object(estimator_module, "is_stable",
-                               wraps=is_stable) as spy:
-            est = wnsf_identify(data, BJ_ORDERS, options)
-        assert len(est.trace) > 2
-        assert spy.call_count == 4 * len(est.trace)
+    @pytest.mark.parametrize("case", ["bench", "reflecting"])
+    def test_roots_only_where_the_screen_refuses(self, bench_closed_cfg,
+                                                 case):
+        # four verdicts per iterate: step 3 screens the F and C it weights
+        # with, pem_cost those of the new iterate.  np.roots runs once for
+        # each of them the Schur-Cohn screen does not pass, and never else
+        if case == "bench":
+            data = generate(replace(bench_closed_cfg, N=2000))
+            orders = BJ_ORDERS
+            options = WnsfOptions(n_grid=(30, 50), max_iter=5)
+        else:  # unstable iterates, and a weighting with reflected roots
+            orders = ModelOrders(2, 2, 1, 1)
+            theta0 = random_stable_theta(np.random.default_rng(76),
+                                         2, 2, 1, 1, 0.95)
+            data = generate(LoopConfig(system=orders.model(theta0), N=150,
+                                       noise_std=2.0, seed=76))
+            options = WnsfOptions(n_grid=(20,), max_iter=4)
+        real_screen, real_verdict = (lti_module._schur_cohn_screen,
+                                     lti_module.is_stable_coeffs)
+        np_roots = np.roots
+        screened, asked, refused, root_inputs = [], [], [], []
 
-    def test_two_models_per_iterate(self, bench_closed_cfg):
-        # step 3 builds the model it weights with, pem_cost the new iterate's
+        def screen(coeffs):  # reflect_unstable's
+            screened.append(coeffs)
+            if not real_screen(coeffs):
+                refused.append(np.array(coeffs))
+                return False
+            return True
+
+        def verdict(coeffs):  # pem_cost's
+            asked.append(coeffs)
+            if not real_screen(coeffs):
+                refused.append(np.array(coeffs))
+            return real_verdict(coeffs)
+
+        def roots(p):
+            root_inputs.append(np.array(p))
+            return np_roots(p)
+
+        with mock.patch.object(estimator_module, "_schur_cohn_screen",
+                               screen), \
+                mock.patch.object(estimator_module, "is_stable_coeffs",
+                                  verdict), \
+                mock.patch.object(np, "roots", roots):
+            est = wnsf_identify(data, orders, options)
+        assert len(est.trace) > 2
+        assert len(screened) == len(asked) == 2 * len(est.trace)
+        assert len(root_inputs) == len(refused)
+        for p in root_inputs:
+            assert any(np.array_equal(p, q) for q in refused)
+        if case == "reflecting":
+            assert est.reflected and root_inputs
+
+    def test_no_model_per_iterate(self, bench_closed_cfg):
+        # step 3 and pem_cost read F, L, C and D from theta's blocks: no
+        # iterate builds a BjModel, a RationalFilter or, unless the screen
+        # refuses it, a Polynomial
         data = generate(replace(bench_closed_cfg, N=2000))
         options = WnsfOptions(n_grid=(30, 50), max_iter=5)
         with mock.patch.object(BjModel, "from_theta",
-                               wraps=BjModel.from_theta) as spy:
+                               wraps=BjModel.from_theta) as models, \
+                mock.patch.object(RationalFilter, "__post_init__",
+                                  autospec=True) as filters, \
+                mock.patch.object(Polynomial, "__post_init__",
+                                  autospec=True) as polynomials:
             est = wnsf_identify(data, BJ_ORDERS, options)
         assert len(est.trace) > 2
-        assert spy.call_count == 2 * len(est.trace)
+        assert models.call_count == 0
+        assert filters.call_count == 0
+        assert polynomials.call_count == 0
 
     def test_degenerate_grid_is_one_weighted_pass(self, bench_closed_cfg):
         data = generate(bench_closed_cfg)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from wnsf.lti import (
     freq_response,
     impulse_response,
     is_stable,
+    is_stable_coeffs,
     poly_mul,
     toeplitz_matrix,
 )
@@ -275,6 +277,108 @@ class TestStability:
             stable, found = is_stable(p)
             assert stable == bool(np.all(np.abs(roots) < 1.0 - 1e-9))
             assert np.allclose(np.sort(found), np.sort(roots))
+
+
+RHO = 1.0 - lti.TOL_STAB  # the float np.roots moduli are compared with
+
+
+def exact_schur_cohn(coeffs) -> bool:
+    """The oracle: the Schur-Cohn step-down recursion in exact rational
+    arithmetic on X(q^-1 / rho), for the float coefficients as given.  True
+    exactly when every root lies inside |z| < rho."""
+    rho = Fraction(RHO)
+    a = [Fraction(c) / rho**k for k, c in enumerate(coeffs)]
+    for d in range(len(a) - 1, 0, -1):
+        k = a[d]
+        if abs(k) >= 1:
+            return False
+        a = [(a[i] - k * a[d - i]) / (1 - k * k) for i in range(d)]
+    return True
+
+
+def roots_verdict(coeffs) -> bool:
+    """The rule before the screen: the moduli from np.roots."""
+    return bool(np.all(np.abs(np.roots(coeffs)) < RHO))
+
+
+@st.composite
+def _monic(draw):
+    """Monic coefficients of degree 0-8: drawn directly (mostly unstable),
+    or from roots whose moduli reach past rho (near the margin)."""
+    m = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.floats(-3, 3), min_size=m, max_size=m))
+        return np.array([1.0] + coeffs)
+    radius = st.floats(0.0, 1.02) | st.sampled_from(
+        [RHO * (1 - 1e-6), RHO * (1 - 1e-9), RHO, RHO * (1 + 1e-9)])
+    roots = []
+    while len(roots) < m:
+        r = draw(radius)
+        if m - len(roots) >= 2 and draw(st.booleans()):
+            t = draw(st.floats(0.0, np.pi))
+            roots += [r * np.exp(1j * t), r * np.exp(-1j * t)]
+        else:
+            roots.append(r if draw(st.booleans()) else -r)
+    return np.real(np.poly(roots)) if m else np.array([1.0])
+
+
+class TestStabilityScreen:
+    """The Schur-Cohn screen of ``is_stable_coeffs`` against exact
+    arithmetic, and the verdict against the np.roots rule it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_monic())
+    def test_accepts_only_stable(self, coeffs):
+        screen = lti._schur_cohn_screen(coeffs)
+        if screen:
+            assert exact_schur_cohn(coeffs)
+            # where the screen decides, np.roots agrees: today's answer
+            assert roots_verdict(coeffs)
+        verdict = is_stable_coeffs(coeffs)
+        assert verdict == (screen or roots_verdict(coeffs))
+        assert verdict == is_stable(Polynomial(coeffs))[0]
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11,
+                                     1e-12])
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("multiplicity", [1, 2])
+    def test_margin_gets_the_roots_verdict(self, eps, side, multiplicity):
+        # within tau of the margin the screen refuses, so the verdict is the
+        # np.roots one; for a simple root that is the exact one too
+        r = RHO * (1 + side * eps)
+        for sign in (1, -1):
+            coeffs = np.real(np.poly([sign * r] * multiplicity))
+            assert not lti._schur_cohn_screen(coeffs)
+            assert is_stable_coeffs(coeffs) == roots_verdict(coeffs)
+            if multiplicity == 1:
+                assert is_stable_coeffs(coeffs) == exact_schur_cohn(coeffs)
+                assert is_stable_coeffs(coeffs) == (side < 0)
+
+    def test_clear_of_the_margin_passes_the_screen(self, bench_system):
+        for p in (bench_system.F, bench_system.C, bench_system.D):
+            assert lti._schur_cohn_screen(p.coeffs)
+        # a double root at 0.99: 1 - |k| is about 5e-5, above tau
+        assert lti._schur_cohn_screen(np.poly([0.99, 0.99]))
+
+    @pytest.mark.parametrize("coeffs, stable", [
+        ([1.0, -0.5, 0.0, 0.0], True),   # roots 0.5, 0, 0
+        ([1.0, -1.5, 0.0], False),       # roots 1.5, 0
+        ([1.0, 0.0, 0.0], True),         # a double root at 0
+        ([1.0], True),                   # degree 0: no roots
+    ])
+    def test_trailing_zeros_and_degree_zero(self, coeffs, stable):
+        coeffs = np.array(coeffs)
+        assert is_stable_coeffs(coeffs) is stable
+        assert exact_schur_cohn(coeffs) is stable
+        assert lti._schur_cohn_screen(coeffs) is stable
+
+    @pytest.mark.parametrize("coeffs", [
+        [1.0, np.nan], [1.0, np.inf, 0.5], [1.0, 0.1, -np.inf],
+        [1.0, 0.2, np.nan, 0.1], [2.0, 1.0], []])
+    def test_non_finite_or_non_monic_raises(self, coeffs):
+        assert not lti._schur_cohn_screen(np.array(coeffs))
+        with pytest.raises(ValueError):
+            is_stable_coeffs(np.array(coeffs))
 
 
 class TestFreqResponse:
