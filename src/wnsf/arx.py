@@ -106,9 +106,11 @@ class ArxEstimate:
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"cannot invert the regressor covariance (dpotri info {info})")
-        # dpotri fills the upper triangle only
-        return _interleave_matrix(np.triu(inv) + np.triu(inv, 1).T,
-                                  inverse=True)
+        # dpotri fills the upper triangle and keeps the factor's zero strict
+        # lower one, so inv + inv^T is the inverse but for a doubled diagonal
+        sym = inv + inv.T
+        np.fill_diagonal(sym, inv.diagonal())
+        return _interleave_matrix(sym, inverse=True)
 
     @property
     def b(self) -> np.ndarray:

@@ -10,13 +10,15 @@ covariance Rbar^n is never formed.  T^-1 is applied to Q by filtering with
 is trapezoidal on a uniform grid over [0, pi]; conjugate symmetry gives the
 full-circle value as twice the real part.
 
-On that grid of W points, omega_j = pi j / (W - 1), so Z^T Gamma_n is one
-real FFT of length L = 2(W - 1), whose W bins are the grid points, with row
-k of Z at index k (``_gamma_product``); the n x W table Gamma_n is never
-formed.  e^{-ik omega_j} has period L in k, so rows past L fold: row k is
-added at index k mod L.  L is never padded to a faster length, which would
-move the bins.  Each of the three matrices that is not positive definite
-raises ``NonInformativeError``.
+On that grid of W points, omega_j = pi j / (W - 1), so Z^T Gamma_n is bins
+0..W-1 of a DFT of length L = 2(W - 1) with row k of Z at index k, folded
+to k mod L (``_gamma_product``); the n x W table Gamma_n is never formed.
+The bins are one chirp-z transform (Bluestein): jk = (j^2 + k^2 -
+(j - k)^2)/2 makes them a convolution with the chirp e^{i pi k^2 / L} by
+FFTs of a fast length; no FFT has length L, which at the default W = 8192
+has the prime factor 8191.  Each grid function evaluates its responses at one
+z = e^{-i omega} (``lti.response_at``).  Each of the three matrices that is
+not positive definite raises ``NonInformativeError``.
 
 The r -> u filter comes from ``simulate.reference_path``, the one place that
 defines the loop paths, so the bounds describe the same experiment that
@@ -28,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfft
+from scipy.fft import fft, ifft, next_fast_len
 
 from .arx import true_eta
 from .estimator import ModelOrders, apply_T_inverse, build_Q
-from .lti import BjModel, RationalFilter, freq_response
+from .lti import BjModel, RationalFilter, response_at
 from .simulate import LoopConfig, _integer, reference_path, sensitivity
 
 GRID_SIZE_DEFAULT = 8192
@@ -87,13 +89,6 @@ class CrbResult:
         }
 
 
-def _gamma(m: int, omega: np.ndarray) -> np.ndarray:
-    """Gamma_m(e^{i w}) = [e^{-iw}, ..., e^{-imw}]^T for each grid point;
-    shape (m, len(omega))."""
-    k = np.arange(1, m + 1)
-    return np.exp(-1j * np.outer(k, omega))
-
-
 def phi_z(sm: SpectrumModel, omega) -> np.ndarray:
     """Spectrum of [u_t e_t]^T; shape (..., 2, 2).
 
@@ -102,13 +97,14 @@ def phi_z(sm: SpectrumModel, omega) -> np.ndarray:
     input.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    z = np.exp(-1j * omega)
     out = np.zeros(omega.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = _reference_input_spectrum(sm, omega)
+    out[..., 0, 0] = _reference_input_spectrum(sm, z)
     out[..., 1, 1] = sm.sigma2
     if sm.loop_kind != "open":
-        S = freq_response(sensitivity(sm.system, sm.controller), omega)
-        K = freq_response(sm.controller, omega)
-        H = freq_response(sm.system.H, omega)
+        S = response_at(sensitivity(sm.system, sm.controller), z)
+        K = response_at(sm.controller, z)
+        H = response_at(sm.system.H, z)
         W = -K * S * H  # transfer from e to u
         out[..., 0, 0] += np.abs(W) ** 2 * sm.sigma2
         out[..., 0, 1] = W * sm.sigma2
@@ -116,11 +112,12 @@ def phi_z(sm: SpectrumModel, omega) -> np.ndarray:
     return out
 
 
-def _reference_input_spectrum(sm: SpectrumModel, omega) -> np.ndarray:
-    """|R_u|^2 Phi_r: the part of the input spectrum due to the reference."""
+def _reference_input_spectrum(sm: SpectrumModel, z) -> np.ndarray:
+    """|R_u|^2 Phi_r at z = e^{-i omega}: the part of the input spectrum due
+    to the reference."""
     r_to_u, _ = reference_path(sm.system, sm.controller, sm.loop_kind)
-    Fr = sm.reference_gain * freq_response(sm.reference_filter, omega)
-    return np.abs(freq_response(r_to_u, omega)) ** 2 * np.abs(Fr) ** 2
+    Fr = sm.reference_gain * response_at(sm.reference_filter, z)
+    return np.abs(response_at(r_to_u, z)) ** 2 * np.abs(Fr) ** 2
 
 
 def build_omega_matrix(system: BjModel, orders: ModelOrders,
@@ -128,29 +125,49 @@ def build_omega_matrix(system: BjModel, orders: ModelOrders,
     """Gradient matrix of the prediction errors in the frequency domain;
     shape (dim, 2, len(omega))."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    G, H = freq_response(system.G, omega), freq_response(system.H, omega)
-    F, C, D = (freq_response(RationalFilter(p), omega)
+    z = np.exp(-1j * omega)
+    G, H = response_at(system.G, z), response_at(system.H, z)
+    F, C, D = (response_at(RationalFilter(p), z)
                for p in (system.F, system.C, system.D))
     # (channel of [u e], transfer, order) of the F, L, C and D rows
     blocks = [(0, -G / (H * F), orders.m_f), (0, 1.0 / (H * F), orders.m_l),
               (1, 1.0 / C, orders.m_c), (1, -1.0 / D, orders.m_d)]
+    # Gamma = [e^{-iw}, ..., e^{-imw}]^T once, for the largest block
+    k = np.arange(1, max(m for *_, m in blocks) + 1)
+    gamma = np.exp(-1j * np.outer(k, omega))
     out = np.zeros((orders.dim, 2, len(omega)), dtype=complex)
     row = 0
     for channel, transfer, m in blocks:
-        out[row: row + m, channel] = transfer * _gamma(m, omega)
+        out[row: row + m, channel] = transfer * gamma[:m]
         row += m
     return out
 
 
 def _gamma_product(X: np.ndarray, grid_size: int) -> np.ndarray:
     """X^T Gamma_m on the W-point grid of ``_quad_weights`` for real X with
-    m rows; shape (cols, W).  One real FFT of length 2(W - 1), with row k of
-    X at index k, folded in blocks of that length when m reaches it."""
+    m rows; shape (cols, W): row k at index k, folded in blocks of
+    L = 2(W - 1), and bins 0..W-1 of the length-L DFT of the K folded
+    indices by one chirp-z transform (see the module docstring)."""
     m, cols = X.shape
     size = 2 * (grid_size - 1)
-    x = np.zeros((cols, (m // size + 1) * size))
+    blocks = -(-(m + 1) // size)
+    x = np.zeros((cols, blocks * min(m + 1, size)))
     x[:, 1:m + 1] = X.T
-    return rfft(x.reshape(cols, -1, size).sum(axis=1), axis=-1)
+    x = x.reshape(cols, blocks, -1).sum(axis=1)
+    K = x.shape[1]
+    # e^{i pi k^2 / L}; k^2 is reduced modulo 2L in integers, exactly
+    k = np.arange(max(grid_size, K))
+    chirp = np.exp(1j * np.pi * ((k * k) % (2 * size)) / size)
+    nfft = next_fast_len(grid_size + K - 1)
+    kernel = np.concatenate([chirp[:grid_size],            # lags 0..W-1
+                             np.zeros(nfft - grid_size - K + 1),
+                             chirp[K - 1:0:-1]])            # -(K-1)..-1
+    # the zero-padded buffer of the first FFT is reused in place
+    buf = fft(x * np.conj(chirp[:K]), nfft)
+    buf *= fft(kernel)
+    out = ifft(buf, overwrite_x=True)[:, :grid_size]
+    out *= np.conj(chirp[:grid_size])
+    return out
 
 
 def _lambda_projected(Z: np.ndarray, sm: SpectrumModel,
@@ -158,13 +175,17 @@ def _lambda_projected(Z: np.ndarray, sm: SpectrumModel,
     """Z^T Lambda_n on the grid of ``_quad_weights`` for Z with 2n rows;
     shape (cols, 2, W).  Lambda_n = [-Gamma_n G, -Gamma_n H; Gamma_n, 0]
     maps [u e]^T to the ARX regressor [-y; u] of order n; only Z^T Gamma_n
-    is formed, both halves in one FFT."""
+    is formed, both halves in one transform."""
     n, cols = Z.shape[0] // 2, Z.shape[1]
     omega, _ = _quad_weights(grid_size)
     prod = _gamma_product(np.hstack([Z[:n], Z[n:]]), len(omega))
     Za, Zb = prod[:cols], prod[cols:]
-    G, H = (freq_response(f, omega) for f in (sm.system.G, sm.system.H))
-    return np.stack([Zb - Za * G, -Za * H], axis=1)
+    z = np.exp(-1j * omega)
+    G, H = (response_at(f, z) for f in (sm.system.G, sm.system.H))
+    out = np.empty((cols, 2, len(omega)), dtype=complex)
+    np.subtract(Zb, np.multiply(Za, G, out=out[:, 0]), out=out[:, 0])
+    np.multiply(Za, -H, out=out[:, 1])
+    return out
 
 
 def _integrate(A: np.ndarray, Pz: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -172,7 +193,8 @@ def _integrate(A: np.ndarray, Pz: np.ndarray, w: np.ndarray) -> np.ndarray:
     symmetrised, for A of shape (m, c, W), Pz of shape (W, c, c) and the
     quadrature weights w of ``_quad_weights``."""
     m = A.shape[0]
-    weighted = np.moveaxis(Pz * w[:, None, None], 0, -1)     # (c, c, W)
+    # (c, c, W), C-contiguous so that the channel products read it in order
+    weighted = np.ascontiguousarray(np.moveaxis(Pz * w[:, None, None], 0, 2))
     # A Phi_z summed channel by channel: one (m, c, c, W) product would
     # raise the peak memory of every caller
     AP = A[:, :1] * weighted[0]
@@ -219,8 +241,8 @@ def compute_mcl(sm: SpectrumModel,
     omega, w = _quad_weights(grid_size)
     Om = build_omega_matrix(sm.system, sm.orders, omega)
     Om = Om[: sm.orders.dyn_dim, :1]                         # (dyn, 1, W)
-    phi_u_r = _reference_input_spectrum(sm, omega)[:, None, None]
-    return _positive_definite(_integrate(Om, phi_u_r, w),
+    phi_u_r = _reference_input_spectrum(sm, np.exp(-1j * omega))
+    return _positive_definite(_integrate(Om, phi_u_r[:, None, None], w),
                               "reference-only information matrix")
 
 

@@ -299,8 +299,12 @@ def impulse_response(f: RationalFilter, length: int) -> np.ndarray:
 
 def freq_response(f: RationalFilter, omega) -> complex | np.ndarray:
     """Evaluate num/den at q^-1 = e^{-i omega}."""
-    omega = np.asarray(omega, dtype=float)
-    z = np.exp(-1j * omega)
+    return response_at(f, np.exp(-1j * np.asarray(omega, dtype=float)))
+
+
+def response_at(f: RationalFilter, z) -> complex | np.ndarray:
+    """Evaluate num/den at q^-1 = z; callers that need several filters on
+    one grid compute z = e^{-i omega} once and pass it to each."""
     num = np.polyval(f.num.coeffs[::-1], z)
     den = np.polyval(f.den.coeffs[::-1], z)
     if np.any(np.abs(den) == 0.0):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotri
 
 from wnsf.arx import (
     ArxEstimate,
@@ -382,6 +383,27 @@ class TestArxGrid:
                 want = est.factor @ Z[interleaved_order(est.n)]
                 assert (np.max(np.abs(est.apply_factor(Z) - want))
                         <= 1e-13 * np.max(np.abs(want)))
+
+    def test_r_inv_symmetrised_from_the_upper_triangle(self):
+        # R_inv mirrors dpotri's upper triangle as inv + inv^T with the
+        # diagonal put back; that reads dpotri's strict lower triangle,
+        # which holds the factor's zeros, and gives the bits of the
+        # triu(inv) + triu(inv, 1)^T it replaced
+        rng = np.random.default_rng(15)
+        y = rng.standard_normal(600)
+        for u, ridged in ((rng.standard_normal(600), False),
+                          (np.zeros(600), True)):
+            est = estimate_arx(_dataset(u, y), 20)
+            assert est.regularized == ridged
+            assert not np.any(np.tril(est.factor, -1))
+            inv, info = dpotri(est.factor)
+            assert info == 0
+            assert not np.any(np.tril(inv, -1))
+            want = np.triu(inv) + np.triu(inv, 1).T
+            order = interleaved_order(est.n)
+            got = est.R_inv[np.ix_(order, order)]
+            # bit for bit, signed zeros included
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_each_order_alone_without_known_zero_ic(self):
         # each order is a group of its own: the same estimate as alone,

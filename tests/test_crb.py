@@ -25,7 +25,8 @@ from wnsf.estimator import (
     wnsf_identify,
 )
 from wnsf.lti import BjModel, Polynomial, RationalFilter, freq_response
-from wnsf.simulate import LOOP_KINDS, LoopConfig, generate
+from wnsf.simulate import (LOOP_KINDS, LoopConfig, generate, reference_path,
+                           sensitivity)
 
 BJ_ORDERS = ModelOrders(2, 2, 1, 1)
 
@@ -101,6 +102,47 @@ def oracle_mbar(sm, n, grid_size):
     Z = solve_triangular(T, Q, lower=True, unit_diagonal=True)
     M = Z.T @ oracle_rbar(sm, n, grid_size) @ Z
     return 0.5 * (M + M.T)
+
+
+def reference_omega_matrix(system, orders, omega):
+    """``build_omega_matrix`` with every response from ``freq_response``
+    and a table of exponentials of its own for each block."""
+    G, H = freq_response(system.G, omega), freq_response(system.H, omega)
+    F, C, D = (freq_response(RationalFilter(p), omega)
+               for p in (system.F, system.C, system.D))
+    blocks = [(0, -G / (H * F), orders.m_f), (0, 1.0 / (H * F), orders.m_l),
+              (1, 1.0 / C, orders.m_c), (1, -1.0 / D, orders.m_d)]
+    out = np.zeros((orders.dim, 2, len(omega)), dtype=complex)
+    row = 0
+    for channel, transfer, m in blocks:
+        gamma = np.exp(-1j * np.outer(np.arange(1, m + 1), omega))
+        out[row: row + m, channel] = transfer * gamma
+        row += m
+    return out
+
+
+def reference_phi_z(sm, omega):
+    """``phi_z`` with every response from ``freq_response``."""
+    r_to_u, _ = reference_path(sm.system, sm.controller, sm.loop_kind)
+    Fr = sm.reference_gain * freq_response(sm.reference_filter, omega)
+    out = np.zeros(omega.shape + (2, 2), dtype=complex)
+    R_u = freq_response(r_to_u, omega)
+    out[..., 0, 0] = np.abs(R_u) ** 2 * np.abs(Fr) ** 2
+    out[..., 1, 1] = sm.sigma2
+    if sm.loop_kind != "open":
+        S = freq_response(sensitivity(sm.system, sm.controller), omega)
+        K = freq_response(sm.controller, omega)
+        H = freq_response(sm.system.H, omega)
+        W = -K * S * H
+        out[..., 0, 0] += np.abs(W) ** 2 * sm.sigma2
+        out[..., 0, 1] = W * sm.sigma2
+        out[..., 1, 0] = np.conj(W) * sm.sigma2
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
 
 
 def _dynamic_controller_sm(bench_system, loop_kind):
@@ -190,6 +232,28 @@ class TestOmegaMatrix:
         assert gamma_ratio == pytest.approx(-1.0)
 
 
+class TestSharedZ:
+    """``build_omega_matrix`` and ``phi_z`` evaluate every response at one
+    z = e^{-i omega} and slice one table of exponentials; each result is
+    bit for bit the one built response by response and block by block."""
+
+    @pytest.mark.parametrize("loop_kind", LOOP_KINDS)
+    @pytest.mark.parametrize("plant", ["bj", "oe"])
+    def test_bitwise_equal_to_per_response_reference(
+            self, bench_system, fast_oe_system, plant, loop_kind):
+        system, orders = ((bench_system, BJ_ORDERS) if plant == "bj" else
+                          (fast_oe_system, ModelOrders(3, 2)))
+        assert (system.m_c, system.m_d) == (orders.m_c, orders.m_d)
+        sm = replace(_dynamic_controller_sm(bench_system, loop_kind),
+                     system=system)
+        rng = np.random.default_rng(3)
+        for omega in (crb._quad_weights(513)[0],
+                      np.sort(rng.uniform(0.0, np.pi, 40))):
+            assert _same_bits(build_omega_matrix(system, orders, omega),
+                              reference_omega_matrix(system, orders, omega))
+            assert _same_bits(phi_z(sm, omega), reference_phi_z(sm, omega))
+
+
 class TestComputeMcr:
     def test_closed_loop_trace(self, closed_sm):
         res = compute_mcr(closed_sm)
@@ -270,10 +334,13 @@ class TestComputeMcl:
 
 
 class TestGammaProduct:
-    """X^T Gamma_m by one real FFT equals the direct sum over the lags,
-    including m past the FFT length 2(W - 1), where the lags fold."""
+    """X^T Gamma_m by one chirp-z transform equals the direct sum over the
+    lags, including m past the DFT length L = 2(W - 1), where the lags fold.
+    L = 16,382 at grid 8192 has the prime factor 8191; at 3001 it is
+    5-smooth, and at 4097 and 8193 a power of two."""
 
-    @pytest.mark.parametrize("grid_size", [2, 3, 5, 17, 512, 8192])
+    @pytest.mark.parametrize("grid_size",
+                             [2, 3, 5, 17, 512, 3001, 4097, 8192, 8193])
     def test_matches_direct_sum(self, grid_size):
         size = 2 * (grid_size - 1)
         omega, _ = crb._quad_weights(grid_size)
